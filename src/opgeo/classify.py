@@ -44,6 +44,16 @@ class Tolerances:
     equality: float = 1e-8
     classification: float = 1e-6
 
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
+        if not (self.decomposition <= self.equality <= self.classification):
+            raise ValueError(
+                "tolerances must be ordered decomposition <= equality <= classification, "
+                f"got {self.as_dict()}"
+            )
+
     def as_dict(self) -> dict:
         return {
             "decomposition": self.decomposition,
@@ -224,35 +234,91 @@ def construct_witness(
     )
 
 
+#: relative rounding allowance of one computed operator norm (backward-stable
+#: SVD: a few n * eps for n <= 64, with room to spare)
+_NORM_ROUNDING = 1e-12
+
+
+def _pm_norms(x: Element, y: Element, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||x + ay||, ||x - ay||) for every a in the real array a, one stacked
+    SVD per block."""
+    plus, minus = _grid_norms(x, y, np.concatenate([a, -a])).reshape(2, -1)
+    return plus, minus
+
+
+def _convex_floor(a: np.ndarray, f: np.ndarray, lo: int, hi: int) -> float:
+    """Lower bound on [a[lo], a[hi]] of a convex function sampled as f at the
+    increasing points a; -inf when no sample outside a step bounds it."""
+    bound = np.inf
+    for i in range(lo, hi):
+        p, q = a[i], a[i + 1]
+        lines = []  # (anchor, value, slope) of secants extended into [p, q]
+        if i >= 1:
+            lines.append((p, f[i], (f[i] - f[i - 1]) / (p - a[i - 1])))
+        if i + 2 < len(a):
+            lines.append((q, f[i + 1], (f[i + 2] - f[i + 1]) / (a[i + 2] - q)))
+        if not lines:
+            return -np.inf
+        points = [p, q]
+        if len(lines) == 2 and lines[0][2] != lines[1][2]:
+            (t0, v0, s0), (t1, v1, s1) = lines
+            points.append(min(max((v1 - v0 + s0 * t0 - s1 * t1) / (s0 - s1), p), q))
+        bound = min(
+            bound, min(max(v + s * (t - t0) for t0, v, s in lines) for t in points)
+        )
+    return float(bound)
+
+
 def x1_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> bool:
     """Tester for the symmetric-perturbation set: does some a > 0 give
     ||x + ay|| = ||x - ay|| = 1?
 
-    Coarse log-grid over a in [a_floor, a_ceiling] / ||y|| followed by a
-    golden-section refinement of max(| ||x+ay|| - 1 |, | ||x-ay|| - 1 |).
-    This is a harness tester, not a decision procedure.
+    The target is D(a) = max(| ||x+ay|| - 1 |, | ||x-ay|| - 1 |) <= member_tol
+    for some a on a log-grid over [a_floor, a_ceiling] / ||y|| or in the step
+    bracket [grid[k-1], grid[k+1]] around the grid minimizer k.  This is a
+    harness tester, not a decision procedure.  Four stages, all on the raw
+    block arrays:
+
+    1. Grid.  Both signs at every grid point come from one stacked SVD per
+       block.
+    2. Accept.  A grid point with D <= member_tol answers True.
+    3. Reject.  F(a) = max(||x+ay||, ||x-ay||) is convex (a max of norms of
+       affine maps), and D(a) <= member_tol forces F(a) <= 1 + member_tol.
+       Secant slopes of a convex function do not decrease, so the secant
+       through two neighbouring grid samples, extended past them, lies below
+       F there.  On each bracket step the secants from the steps on either
+       side thus bound F from below.  If that bound exceeds 1 + member_tol
+       by more than the rounding of the samples and of the refinement's own
+       evaluations (_NORM_ROUNDING times F, widened by the secant's lever
+       1 + 2 * step ratio), no point of the bracket qualifies: False.
+    4. Refine.  An undecided bracket runs a golden-section search of D,
+       stopping early once D <= member_tol / 10.
     """
     y_norm = element_norm(y)
     if y_norm <= 1e-12:
         # 0 belongs to both comparison sets; admitted by continuity.
         return True
+    tol = cfg.member_tol
 
     def objective(a: float) -> float:
-        dev_p = abs(element_norm(x + a * y) - 1.0)
-        dev_m = abs(element_norm(x - a * y) - 1.0)
-        return max(dev_p, dev_m)
+        plus, minus = _pm_norms(x, y, np.array([a]))
+        return float(max(abs(plus[0] - 1.0), abs(minus[0] - 1.0)))
 
-    lo = cfg.a_floor / y_norm
-    hi = cfg.a_ceiling / y_norm
-    grid = np.geomspace(lo, hi, cfg.a_grid_points)
-    vals = [objective(float(a)) for a in grid]
+    grid = np.geomspace(cfg.a_floor / y_norm, cfg.a_ceiling / y_norm, cfg.a_grid_points)
+    plus, minus = _pm_norms(x, y, grid)
+    vals = np.maximum(np.abs(plus - 1.0), np.abs(minus - 1.0))
     k = int(np.argmin(vals))
-    best = vals[k]
-    left = grid[max(k - 1, 0)]
-    right = grid[min(k + 1, len(grid) - 1)]
+    best = float(vals[k])
+    if best <= tol:
+        return True
+    lo, hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
+    f = np.maximum(plus, minus)
+    lever = 1.0 + 2.0 * (grid[1] / grid[0] if len(grid) > 1 else 1.0)
+    if _convex_floor(grid, f, lo, hi) > 1.0 + tol + _NORM_ROUNDING * lever * float(f.max()):
+        return False
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(left), float(right)
+    a, b = float(grid[lo]), float(grid[hi])
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
@@ -266,9 +332,9 @@ def x1_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFI
             d = a + invphi * (b - a)
             fd = objective(d)
         best = min(best, fc, fd)
-        if best <= cfg.member_tol / 10.0:
+        if best <= tol / 10.0:
             break
-    return best <= cfg.member_tol
+    return best <= tol
 
 
 def x2_deviation(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> float:
@@ -581,29 +647,35 @@ def is_self_adjoint_lumer(
     return True
 
 
-def _state_basis(n: int) -> list[np.ndarray]:
-    """n^2 density matrices spanning the Hermitian-detecting states on M_n."""
-    basis = []
+def _state_vectors(n: int) -> np.ndarray:
+    """Columns v of the n^2 pure states v v* spanning the Hermitian-detecting
+    states on M_n: e_j, then (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2."""
     eye = np.eye(n, dtype=np.complex128)
-    for j in range(n):
-        basis.append(np.outer(eye[j], eye[j].conj()))
+    cols = list(eye)
     for j in range(n):
         for k in range(j + 1, n):
-            v = (eye[j] + eye[k]) / np.sqrt(2.0)
-            basis.append(np.outer(v, v.conj()))
-            w = (eye[j] + 1j * eye[k]) / np.sqrt(2.0)
-            basis.append(np.outer(w, w.conj()))
-    return basis
+            cols.append((eye[j] + eye[k]) / np.sqrt(2.0))
+            cols.append((eye[j] + 1j * eye[k]) / np.sqrt(2.0))
+    return np.stack(cols, axis=1)
+
+
+def _state_basis(n: int) -> list[np.ndarray]:
+    """The density matrices v v* of `_state_vectors`."""
+    return [np.outer(v, v.conj()) for v in _state_vectors(n).T]
+
+
+def _state_values(b: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """tr(v v* b) = v* b v for every column v of vecs."""
+    return np.einsum("ij,ij->j", vecs.conj(), b @ vecs)
 
 
 def is_self_adjoint_states(x: Element, unit: Element, tol: float = 1e-8) -> bool:
     """f(x) real for the spanning family of matrix-unit-derived states."""
     _require_unit(x, unit)
-    for b in x.blocks:
-        for rho in _state_basis(b.shape[0]):
-            if abs(np.trace(rho @ b).imag) > tol:
-                return False
-    return True
+    return all(
+        np.max(np.abs(_state_values(b, _state_vectors(b.shape[0])).imag)) <= tol
+        for b in x.blocks
+    )
 
 
 def _real_coords(m: np.ndarray) -> np.ndarray:
@@ -670,28 +742,20 @@ def is_positive(
 
     herm_dev = element_norm(x - x.H)
     lam_min = np.inf
-    for b in x.blocks:
-        herm = 0.5 * (b + b.conj().T)
-        lam_min = min(lam_min, float(np.linalg.eigvalsh(herm)[0]))
-    spectral = herm_dev <= 1e-6 and lam_min >= -tol_eq
-
     min_re = np.inf
     max_im = 0.0
     for b in x.blocks:
         n = b.shape[0]
-        states = list(_state_basis(n))
-        herm = 0.5 * (b + b.conj().T)
-        _, vecs = np.linalg.eigh(herm)
-        for j in range(n):
-            states.append(np.outer(vecs[:, j], vecs[:, j].conj()))
-        for _ in range(samples):
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            states.append(np.outer(v, v.conj()))
-        for rho in states:
-            val = complex(np.trace(rho @ b))
-            min_re = min(min_re, val.real)
-            max_im = max(max_im, abs(val.imag))
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+        lam_min = min(lam_min, float(eigvals[0]))
+        # same draw order as one (real n, imaginary n) pair per sample
+        draws = rng.standard_normal((samples, 2, n))
+        pure = (draws[:, 0] + 1j * draws[:, 1]).T
+        pure /= np.linalg.norm(pure, axis=0)
+        vals = _state_values(b, np.concatenate([_state_vectors(n), eigvecs, pure], axis=1))
+        min_re = min(min_re, float(vals.real.min()))
+        max_im = max(max_im, float(np.abs(vals.imag).max()))
+    spectral = herm_dev <= 1e-6 and lam_min >= -tol_eq
     state_route = min_re >= -tol_eq and max_im <= tol_eq
 
     nrm = element_norm(x)

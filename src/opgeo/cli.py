@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -32,9 +33,9 @@ from opgeo.classify import (
     Verdict,
 )
 from opgeo.errors import (
-    DegenerateInputError,
     MalformedCertificateError,
     PreconditionError,
+    ShapeMismatchError,
 )
 from opgeo.harness import ALL_SUITES, DEFAULT_SHAPES, TrialConfig, run_suite
 from opgeo.algebra import AlgebraShape
@@ -159,18 +160,12 @@ def cmd_certify(args) -> int:
         if args.verify:
             try:
                 with open(args.verify, "rb") as fh:
-                    import json
-
                     cert_doc = json.loads(fh.read())
                 cert = documents.certificate_from_doc(cert_doc)
             except (OSError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_INPUT
-            try:
-                accepted = verify_certificate(x, cert, tol=tol.equality)
-            except MalformedCertificateError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INPUT
+            accepted = verify_certificate(x, cert, tol=tol.equality)
             print(documents.dumps({"verified": accepted, "epsilon": cert.epsilon}))
             return EXIT_OK if accepted else EXIT_NEGATIVE
         cert = invertibility_certificate(x, threshold=tol.classification)
@@ -181,29 +176,23 @@ def cmd_certify(args) -> int:
         return EXIT_OK
 
     # partial-isometry: the witness refutes membership
-    try:
-        if args.verify:
-            try:
-                with open(args.verify, "rb") as fh:
-                    import json
-
-                    wdoc = json.loads(fh.read())
-                w = documents.witness_from_doc(wdoc)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INPUT
-            dev = max(
-                abs(element_norm(x + w.y) - 1.0),
-                abs(element_norm(x - w.y) - 1.0),
-            )
-            margin = element_norm(x + w.b * w.y) - 1.0
-            accepted = dev <= tol.equality and margin > 0.0
-            print(documents.dumps({"verified": accepted, "margin": margin, "deviation": dev}))
-            return EXIT_OK if accepted else EXIT_NEGATIVE
-        witness = construct_witness(x, eq_tol=tol.equality)
-    except (DegenerateInputError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    if args.verify:
+        try:
+            with open(args.verify, "rb") as fh:
+                wdoc = json.loads(fh.read())
+            w = documents.witness_from_doc(wdoc)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        dev = max(
+            abs(element_norm(x + w.y) - 1.0),
+            abs(element_norm(x - w.y) - 1.0),
+        )
+        margin = element_norm(x + w.b * w.y) - 1.0
+        accepted = dev <= tol.equality and margin > 0.0
+        print(documents.dumps({"verified": accepted, "margin": margin, "deviation": dev}))
+        return EXIT_OK if accepted else EXIT_NEGATIVE
+    witness = construct_witness(x, eq_tol=tol.equality)
     if witness is None:
         print(
             "no witness: operator is a partial isometry at this resolution",
@@ -308,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Library errors that reach here become one stderr
+    line: a violated precondition exits 3, mismatched or malformed input 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -315,7 +306,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PreconditionError as exc:  # includes DegenerateInputError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (ShapeMismatchError, MalformedCertificateError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

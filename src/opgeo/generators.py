@@ -54,6 +54,8 @@ def random_ranks(
     """Random block ranks with at least one nonzero block; `proper` forces a
     rank-deficient block somewhere (so the result is never unitary)."""
     dims = shape.block_dims
+    if proper and sum(dims) < 2:
+        raise ValueError(f"{shape} has no rank-deficient nonzero partial isometry")
     while True:
         ranks = tuple(int(rng.integers(0, n + 1)) for n in dims)
         if max(ranks) == 0:

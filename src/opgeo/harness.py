@@ -72,6 +72,22 @@ SUITE_IDS = {
 
 ALL_SUITES = tuple(SUITE_IDS)
 
+#: suites whose trials draw a norm-one non-partial-isometry, which needs a
+#: block of dimension >= 2
+_NON_PI_SUITES = frozenset({"T1B", "T1X", "T2", "P7"})
+#: suites whose trials draw a rank-deficient nonzero partial isometry, which
+#: needs more than a single M1 block
+_PROPER_PI_SUITES = frozenset({"T1X", "T2", "T2P", "P7"})
+
+
+def _undrawable(suite: str, shape: AlgebraShape) -> str | None:
+    """Why the generators of `suite` cannot draw at `shape`, or None."""
+    if suite in _NON_PI_SUITES and max(shape.block_dims) < 2:
+        return "needs a block of dimension >= 2"
+    if suite in _PROPER_PI_SUITES and sum(shape.block_dims) < 2:
+        return "needs more than a single M1 block"
+    return None
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -87,6 +103,11 @@ class TrialConfig:
         unknown = [s for s in self.suites if s not in SUITE_IDS]
         if unknown:
             raise ValueError(f"unknown suite name(s): {unknown}")
+        for suite in self.suites:
+            for shape in self.shapes:
+                reason = _undrawable(suite, shape)
+                if reason:
+                    raise ValueError(f"suite {suite} cannot draw at shape {shape}: {reason}")
 
 
 @dataclass

@@ -1,13 +1,21 @@
+import io
+import json
+from collections import Counter
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
 from conftest import diag_element
+from opgeo import documents
 from opgeo.algebra import AlgebraShape, Element, element_norm
 from opgeo.classify import (
     DEFAULT_WITNESS_CONFIG,
     InvertibilityCertificate,
     Tolerances,
     WitnessConfig,
+    _defect_direction,
+    _random_direction,
     construct_witness,
     default_witness_function,
     defect_norm_identity,
@@ -30,6 +38,7 @@ from opgeo.classify import (
     x2_deviation,
     x2_member,
 )
+from opgeo.cli import main
 from opgeo.errors import (
     DegenerateInputError,
     MalformedCertificateError,
@@ -62,6 +71,21 @@ class TestConfig:
         assert default_witness_function(0.5) == pytest.approx(0.25)
         assert default_witness_function(0.0) == 0.0
         assert default_witness_function(1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"equality": -1.0},
+            {"classification": 0.0},
+            {"decomposition": float("nan")},
+            {"classification": float("inf")},
+            {"classification": 1e-9},
+            {"decomposition": 1e-7},
+        ],
+    )
+    def test_tolerances_rejects_bad_values(self, values):
+        with pytest.raises(ValueError):
+            Tolerances(**values)
 
     def test_rejects_bad_witness_function(self):
         with pytest.raises(ValueError):
@@ -141,6 +165,140 @@ class TestComparisonSets:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         y = Element.from_blocks([g / np.linalg.norm(g, 2)])
         assert not x1_member(u, y)
+
+
+def seed_x1_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> bool:
+    """Reference oracle: the Element-based grid plus golden-section X1 tester
+    that the raw-array x1_member replaced, kept verbatim."""
+    y_norm = element_norm(y)
+    if y_norm <= 1e-12:
+        # 0 belongs to both comparison sets; admitted by continuity.
+        return True
+
+    def objective(a: float) -> float:
+        dev_p = abs(element_norm(x + a * y) - 1.0)
+        dev_m = abs(element_norm(x - a * y) - 1.0)
+        return max(dev_p, dev_m)
+
+    lo = cfg.a_floor / y_norm
+    hi = cfg.a_ceiling / y_norm
+    grid = np.geomspace(lo, hi, cfg.a_grid_points)
+    vals = [objective(float(a)) for a in grid]
+    k = int(np.argmin(vals))
+    best = vals[k]
+    left = grid[max(k - 1, 0)]
+    right = grid[min(k + 1, len(grid) - 1)]
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(left), float(right)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+        best = min(best, fc, fd)
+        if best <= cfg.member_tol / 10.0:
+            break
+    return best <= cfg.member_tol
+
+
+def _x1_corpus(shape: AlgebraShape, rng: np.random.Generator):
+    """(x, y) pairs: partial isometries, norm-one non-PIs and unitaries, plus a
+    half-norm copy of one of them, against defect, random, witness and zero
+    directions and defect directions nudged off the defect corner."""
+    xs = [
+        gen_partial_isometry(shape, random_ranks(shape, rng), rng),
+        gen_norm_one_non_pi(shape, rng),
+        gen_unitary(shape, rng),
+    ]
+    xs.append(0.5 * xs[int(rng.integers(0, 3))])
+    for x in xs:
+        yield x, Element.zero(shape)
+        yield x, _random_direction(x, rng)
+        d = _defect_direction(x, rng)
+        if d is not None:
+            yield x, d
+            for eps in (1e-3, 1e-7):
+                yield x, d + eps * _random_direction(x, rng)
+        if abs(element_norm(x) - 1.0) <= 1e-12:
+            w = construct_witness(x)
+            if w is not None:
+                yield x, w.y
+                yield x, 3.7 * w.y
+
+
+def _count_linalg(monkeypatch, *names) -> Counter:
+    """Count calls of the named numpy.linalg functions by (name, stack shape)."""
+    calls = Counter()
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls[_name, np.shape(a)[:-2]] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestX1Member:
+    @pytest.mark.parametrize(
+        "dims", [(2,), (4,), (6,), (8,), (2, 3), (16,)], ids=lambda d: "+".join(f"M{n}" for n in d)
+    )
+    def test_matches_seed_oracle(self, dims):
+        rng = np.random.default_rng(sum(dims) * 101 + len(dims))
+        outcomes = []
+        for _ in range(2):
+            for x, y in _x1_corpus(AlgebraShape(dims), rng):
+                expected = seed_x1_member(x, y)
+                got = x1_member(x, y)
+                assert type(got) is bool
+                assert got == expected
+                outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+    def test_refinement_finds_an_isolated_member(self, monkeypatch):
+        # ||x + ay|| = ||x - ay|| = 1/2 + a: D vanishes only at a = 1/2, off the grid
+        x = diag_element([0.5, 0.5])
+        y = diag_element([1.0, -1.0])
+        assert seed_x1_member(x, y)
+        calls = _count_linalg(monkeypatch, "svd")
+        assert x1_member(x, y)
+        assert calls["svd", (2,)] > 10  # golden-section steps, one (+, -) pair each
+
+    @pytest.mark.parametrize(
+        ("a_floor", "expected", "refined"),
+        [(4e-4, True, False), (4.7e-4, False, True), (5e-4, False, False)],
+    )
+    def test_stages_near_the_tolerance(self, monkeypatch, a_floor, expected, refined):
+        # x = 1, y = i: D(a) = sqrt(1 + a^2) - 1 rises from a = a_floor, and the
+        # tolerance 1e-7 sits between D(4e-4) and D(5e-4); in between, the
+        # secant bound is too weak to reject and the refinement decides
+        x = Element.from_blocks([np.array([[1.0]])])
+        y = Element.from_blocks([np.array([[1j]])])
+        cfg = WitnessConfig(a_floor=a_floor)
+        assert seed_x1_member(x, y, cfg) is expected
+        calls = _count_linalg(monkeypatch, "svd")
+        assert x1_member(x, y, cfg) is expected
+        assert calls["svd", (80,)] == 1  # the whole grid, both signs, in one SVD
+        assert (calls["svd", (2,)] > 0) is refined
+
+    def test_classify_linalg_call_budget(self, tmp_path, monkeypatch):
+        # one M6 rank-3 partial isometry; the Element-based X1 search made 2020
+        x = gen_partial_isometry(AlgebraShape((6,)), (3,), np.random.default_rng(6))
+        path = tmp_path / "pi6.json"
+        path.write_text(json.dumps(documents.element_to_doc(x)))
+        calls = _count_linalg(monkeypatch, "svd", "norm", "eigh", "eigvalsh", "lstsq")
+        with redirect_stdout(io.StringIO()):
+            assert main(["classify", str(path), "--unit"]) == 0
+        assert sum(calls.values()) <= 250
 
 
 class TestPartialIsometryVerdicts:

@@ -8,6 +8,7 @@ import pytest
 from conftest import diag_element
 from opgeo import documents
 from opgeo.algebra import AlgebraShape, Element, element_norm
+from opgeo.classify import construct_witness
 from opgeo.cli import main
 from opgeo.generators import gen_invertible
 
@@ -109,6 +110,18 @@ class TestClassify:
         code, _, err = run_cli("classify", identity3, "--tol", "bogus=1")
         assert code == 2
 
+    def test_route_precondition_exits_3(self, tmp_path):
+        # the norm gate passes at classification=1e-3, but the witness route
+        # still requires ||x|| = 1 to 1e-6 and raises PreconditionError
+        path = write_doc(
+            tmp_path, "x.json", documents.element_to_doc(diag_element([1.0005, 0.5, 0.2]))
+        )
+        code, out, err = run_cli("classify", path, "--tol", "classification=1e-3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_deterministic_bytes(self, diag_half):
         first = run_cli("classify", diag_half, "--unit")
         second = run_cli("classify", diag_half, "--unit")
@@ -177,6 +190,16 @@ class TestCertify:
         assert code == 0
         assert json.loads(out2)["verified"] is True
 
+    def test_verify_witness_of_other_shape_exits_2(self, tmp_path, diag_half):
+        w = construct_witness(diag_element([1.0, 0.5, 0.2]))
+        wpath = write_doc(tmp_path, "w3.json", documents.witness_to_doc(w))
+        code, out, err = run_cli(
+            "certify", diag_half, "--predicate", "partial-isometry", "--verify", wpath
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_partial_isometry_of_true_pi_exits_4(self, identity3):
         code, _, err = run_cli("certify", identity3, "--predicate", "partial-isometry")
         assert code == 4
@@ -211,6 +234,21 @@ class TestHarness:
     def test_bad_shape_exits_2(self):
         code, _, err = run_cli("harness", "--shapes", "M0", "--suites", "T1F")
         assert code == 2
+
+    def test_undrawable_shape_exits_2(self):
+        code, out, err = run_cli("harness", "--shapes", "M1")
+        assert code == 2
+        assert out == ""
+        assert "cannot draw at shape M1" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "tol", ["equality=-1", "classification=nan", "classification=1e-9"]
+    )
+    def test_invalid_tolerance_exits_2(self, tol):
+        code, out, err = run_cli("harness", "--tol", tol, "--suites", "ADJ")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance")
 
     def test_timing_flag_adds_wall_time(self):
         code, out, _ = run_cli(

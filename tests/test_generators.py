@@ -102,6 +102,10 @@ class TestPartialIsometry:
             ranks = random_ranks(SHAPE, rng, proper=True)
             assert any(r < n for r, n in zip(ranks, SHAPE.block_dims))
 
+    def test_proper_ranks_impossible_on_m1(self, rng):
+        with pytest.raises(ValueError):
+            random_ranks(AlgebraShape((1,)), rng, proper=True)
+
     def test_zero_ranks(self, rng):
         x = gen_partial_isometry(SHAPE, (0, 0), rng)
         assert element_norm(x) == 0.0

@@ -26,6 +26,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown suite"):
             TrialConfig(suites=("T1F", "BOGUS"))
 
+    @pytest.mark.parametrize(
+        ("suite", "dims"), [("T1B", (1,)), ("T1B", (1, 1)), ("P7", (1, 1)), ("T2P", (1,))]
+    )
+    def test_rejects_undrawable_shape(self, suite, dims):
+        with pytest.raises(ValueError, match="cannot draw"):
+            TrialConfig(suites=(suite,), shapes=(AlgebraShape(dims),))
+
+    def test_accepts_m1_where_drawable(self):
+        cfg = TrialConfig(trials=2, suites=("T1F", "T2P", "ADJ"), shapes=(AlgebraShape((1, 1)),))
+        assert run_suite(cfg).all_passed
+
     def test_rejects_non_positive_trials(self):
         with pytest.raises(ValueError):
             TrialConfig(trials=0)

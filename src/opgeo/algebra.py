@@ -18,6 +18,10 @@ from opgeo.errors import PreconditionError, ShapeMismatchError
 
 ACTIVE_THRESHOLD = 1e-6
 BORDERLINE_THRESHOLD = 1e-4
+#: singular values below this times the largest do not count toward a rank
+SPAN_RANK_TOL = 1e-7
+#: ||u*u - 1|| up to which min_real_over_norming accepts u as unitary
+UNITARY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,7 @@ def sample_norming_functional(desc: NormingSetDescription, rng: np.random.Genera
     return Functional(desc.base.shape, tuple(densities))
 
 
-def numeric_span_rank(fs, tol: float = 1e-7) -> int:
+def numeric_span_rank(fs, tol: float = SPAN_RANK_TOL) -> int:
     """Complex-linear rank of a family of functionals.
 
     Counts singular values of the stacked coordinate vectors above
@@ -277,7 +281,7 @@ class NormingMinimum:
     hermitian_residual: float
 
 
-def min_real_over_norming(u: Element, x: Element, unitary_tol: float = 1e-8) -> NormingMinimum:
+def min_real_over_norming(u: Element, x: Element, unitary_tol: float = UNITARY_TOL) -> NormingMinimum:
     """inf of Re f(x) over functionals norming the unitary u.
 
     Equals the min over blocks of the smallest eigenvalue of the Hermitian

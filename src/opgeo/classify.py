@@ -11,7 +11,7 @@ rest on the exact witness / span / certificate constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,9 +38,10 @@ from opgeo.errors import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Three-decade tolerance hierarchy separating noise from decisions."""
+    """The one tolerance policy.  `equality`: two computed quantities that
+    agree in exact arithmetic count as equal.  `classification`: a measured
+    deviation decides a predicate."""
 
-    decomposition: float = 1e-10
     equality: float = 1e-8
     classification: float = 1e-6
 
@@ -48,21 +49,25 @@ class Tolerances:
         for name, value in self.as_dict().items():
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
-        if not (self.decomposition <= self.equality <= self.classification):
+        if not self.equality <= self.classification:
             raise ValueError(
-                "tolerances must be ordered decomposition <= equality <= classification, "
-                f"got {self.as_dict()}"
+                f"tolerances must be ordered equality <= classification, got {self.as_dict()}"
             )
 
     def as_dict(self) -> dict:
-        return {
-            "decomposition": self.decomposition,
-            "equality": self.equality,
-            "classification": self.classification,
-        }
+        return {"equality": self.equality, "classification": self.classification}
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+#: a norm, or a witness-function value, at or below this counts as zero
+_NEGLIGIBLE = 1e-12
+#: points of (0, 1) at which a witness function is validated
+_PHI_GRID = np.linspace(1e-4, 1.0 - 1e-4, 2001)
+#: a defect corner of smaller norm gives no direction to test
+_DEFECT_FLOOR = 1e-8
+#: the scales alpha of the Lumer criterion
+LUMER_ALPHAS = (1e-2, 1e-3, 1e-4)
 
 
 def default_witness_function(s: float) -> float:
@@ -71,13 +76,12 @@ def default_witness_function(s: float) -> float:
 
 
 def _validate_witness_function(phi: Callable[[float], float]) -> None:
-    if abs(phi(0.0)) > 1e-12 or abs(phi(1.0)) > 1e-12:
+    if abs(phi(0.0)) > _NEGLIGIBLE or abs(phi(1.0)) > _NEGLIGIBLE:
         raise ValueError("witness function must vanish at 0 and 1")
-    grid = np.linspace(1e-4, 1.0 - 1e-4, 2001)
-    vals = np.array([phi(float(s)) for s in grid])
+    vals = np.array([phi(float(s)) for s in _PHI_GRID])
     if np.any(vals <= 0.0):
         raise ValueError("witness function must be positive on (0, 1)")
-    if np.any(vals > 1.0 / grid - 1.0 + 1e-12):
+    if np.any(vals > 1.0 / _PHI_GRID - 1.0 + _NEGLIGIBLE):
         raise ValueError("witness function must satisfy phi(s) <= 1/s - 1")
 
 
@@ -112,8 +116,9 @@ DEFAULT_WITNESS_CONFIG = WitnessConfig()
 class PartialIsometryWitness:
     """Checkable refutation of partial-isometry membership.
 
-    y stays in both comparison sets at small scales (||x +/- y|| = 1) yet
-    breaks the max identity at b = 1/||y||, with a strictly positive margin.
+    y stays in both comparison sets at small scales (||x +/- y|| = ||x||)
+    yet breaks the max identity at b = ||x||/||y||, with a strictly positive
+    margin ||x + by|| - ||x||.
     """
 
     y: Element
@@ -140,29 +145,23 @@ class Verdict:
     predicate: str
     algebraic: bool
     geometric: bool
-    evidence: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=lambda: DEFAULT_TOLERANCES.as_dict())
+    evidence: dict
+    tolerances: dict
 
     @property
     def agreement(self) -> bool:
         return self.algebraic == self.geometric
 
 
-def _require_norm_one(x: Element, tol: float) -> float:
+def norm_one_gate(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, str | None]:
+    """(||x||, None) when ||x|| = 1 within tol.classification, else
+    (||x||, why not).  The zero element raises DegenerateInputError."""
     nrm = element_norm(x)
-    if nrm <= 1e-12:
+    if nrm <= _NEGLIGIBLE:
         raise DegenerateInputError("the zero element has no norm-one classification")
-    if abs(nrm - 1.0) > tol:
-        raise PreconditionError(f"operation requires ||x|| = 1, got {nrm!r}")
-    return nrm
-
-
-def _block_singular_values(x: Element) -> list[tuple[int, float]]:
-    out = []
-    for i, b in enumerate(x.blocks):
-        for s in linalg.singular_values(b):
-            out.append((i, float(s)))
-    return out
+    if abs(nrm - 1.0) > tol.classification:
+        return nrm, f"requires norm 1, got {nrm!r}"
+    return nrm, None
 
 
 def _grid_norms(x: Element, y: Element, bs: np.ndarray) -> np.ndarray:
@@ -179,59 +178,76 @@ def _grid_norms(x: Element, y: Element, bs: np.ndarray) -> np.ndarray:
 # partial isometries
 
 
-def is_partial_isometry_algebraic(x: Element, tol: float = 1e-6) -> bool:
-    """x x* x = x within `tol` (support identity oracle)."""
-    return element_norm(x @ x.H @ x - x) <= tol
+def is_partial_isometry_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """x x* x = x within tol.classification (support identity oracle)."""
+    return element_norm(x @ x.H @ x - x) <= tol.classification
 
 
 def construct_witness(
     x: Element,
     cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG,
-    eq_tol: float = 1e-8,
+    *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> PartialIsometryWitness | None:
-    """Build the refuting element y = phi(|x|) x, or None if no singular
-    value of x lies in [gap, 1 - gap].
+    """Build the refuting element y = phi(|x|/||x||) x for the ray of x, or
+    None if no singular value of x/||x|| lies in [gap, 1 - gap].
 
-    |x| is the left absolute value (xx*)^(1/2) per block.  The spectral
-    point maximizes phi(s) * s among admissible singular values, which is
-    what drives the margin at b = 1/||y||.
+    |x| is the left absolute value (xx*)^(1/2) per block, so from the block
+    SVDs x = W diag(sigma) V*, y = W diag(phi(sigma/||x||) sigma) V*.  The
+    spectral point maximizes phi(s) * s among admissible s = sigma/||x||,
+    which drives the margin at b = ||x||/||y||.  A witness that fails the
+    rule of `verify_witness` at `tol` raises PreconditionError.
     """
-    _require_norm_one(x, 1e-6)
+    nrm, off = norm_one_gate(x, tol=tol)
+    if off:
+        raise PreconditionError(f"operation {off}")
     phi = cfg.witness_function
     admissible = [
-        s for _, s in _block_singular_values(x) if cfg.gap <= s <= 1.0 - cfg.gap
+        float(s)
+        for b in x.blocks
+        for s in linalg.singular_values(b) / nrm
+        if cfg.gap <= s <= 1.0 - cfg.gap
     ]
     if not admissible:
         return None
     t = max(admissible, key=lambda s: phi(s) * s)
 
     y_blocks = []
-    for b in x.blocks:
-        absb = linalg.matrix_abs(b, side="left")
-        y_blocks.append(linalg.apply_function_hermitian(absb, phi) @ b)
+    for w, sigma, vh in map(np.linalg.svd, x.blocks):
+        scaled = np.array([phi(float(s)) for s in sigma / nrm]) * sigma
+        y_blocks.append((w * scaled) @ vh)
     y = Element(x.shape, tuple(y_blocks))
-
-    y_norm = element_norm(y)
-    b_scale = 1.0 / y_norm
-    norm_plus = element_norm(x + y)
-    norm_minus = element_norm(x - y)
-    norm_at_b = element_norm(x + b_scale * y)
-    margin = norm_at_b - 1.0
-    if abs(norm_plus - 1.0) > eq_tol or abs(norm_minus - 1.0) > eq_tol:
+    witness, verified, deviation = _measure_witness(x, nrm, y, nrm / element_norm(y), t, tol)
+    if not verified:
         raise PreconditionError(
-            f"witness invariant violated: ||x+y|| = {norm_plus!r}, ||x-y|| = {norm_minus!r}"
+            f"witness invariant violated: deviation {deviation!r}, margin {witness.margin!r}"
         )
-    if margin <= 0.0:
-        raise PreconditionError(f"witness margin is not positive: {margin!r}")
-    return PartialIsometryWitness(
-        y=y,
-        b=b_scale,
-        norm_plus=norm_plus,
-        norm_minus=norm_minus,
-        norm_at_b=norm_at_b,
-        margin=margin,
-        spectral_point=t,
-    )
+    return witness
+
+
+def _measure_witness(
+    x: Element, nrm: float, y: Element, b: float, spectral_point: float, tol: Tolerances
+) -> tuple[PartialIsometryWitness, bool, float]:
+    """(witness, verified, deviation) for (y, b) measured on x, ||x|| = nrm."""
+    norm_plus, norm_minus = element_norm(x + y), element_norm(x - y)
+    norm_at_b = element_norm(x + b * y)
+    deviation = max(abs(norm_plus - nrm), abs(norm_minus - nrm))
+    margin = norm_at_b - nrm
+    witness = PartialIsometryWitness(y, b, norm_plus, norm_minus, norm_at_b, margin, spectral_point)
+    return witness, deviation <= tol.equality and margin > 0.0, deviation
+
+
+def verify_witness(
+    x: Element, w: PartialIsometryWitness, *, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[bool, float, float]:
+    """(verified, margin, deviation) of w re-measured on x, by the rule that
+    `construct_witness` applies: deviation = max | ||x +/- y|| - ||x|| | is at
+    most tol.equality and margin = ||x + by|| - ||x|| is positive.
+
+    A witness whose y lives in another algebra raises ShapeMismatchError.
+    """
+    nrm = element_norm(x)
+    measured, verified, deviation = _measure_witness(x, nrm, w.y, w.b, w.spectral_point, tol)
+    return verified, measured.margin, deviation
 
 
 #: relative rounding allowance of one computed operator norm (backward-stable
@@ -295,7 +311,7 @@ def x1_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFI
        stopping early once D <= member_tol / 10.
     """
     y_norm = element_norm(y)
-    if y_norm <= 1e-12:
+    if y_norm <= _NEGLIGIBLE:
         # 0 belongs to both comparison sets; admitted by continuity.
         return True
     tol = cfg.member_tol
@@ -340,7 +356,7 @@ def x1_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFI
 def x2_deviation(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> float:
     """max over the b-grid of | ||x + by|| - max(1, ||by||) |."""
     y_norm = element_norm(y)
-    if y_norm <= 1e-12:
+    if y_norm <= _NEGLIGIBLE:
         return abs(element_norm(x) - 1.0)
     bs = cfg.b_grid()
     norms = _grid_norms(x, y, bs)
@@ -365,7 +381,7 @@ def _defect_direction(x: Element, rng: np.random.Generator) -> Element | None:
         blocks.append((np.eye(d) - q) @ g @ (np.eye(d) - p))
     y = Element(shape, tuple(blocks))
     nrm = element_norm(y)
-    if nrm <= 1e-8:
+    if nrm <= _DEFECT_FLOOR:
         return None
     return (1.0 / nrm) * y
 
@@ -384,12 +400,13 @@ def is_partial_isometry_geometric(
     cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG,
     rng: np.random.Generator | None = None,
     n_directions: int = 6,
+    *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
     """Geometric route: no witness exists and the two comparison-set testers
     agree on sampled directions (defect corner and random)."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    algebraic = is_partial_isometry_algebraic(x)
-    witness = construct_witness(x, cfg)
+    algebraic = is_partial_isometry_algebraic(x, tol=tol)
+    witness = construct_witness(x, cfg, tol=tol)
     evidence: dict = {}
     if witness is not None:
         evidence["witness"] = witness
@@ -411,7 +428,7 @@ def is_partial_isometry_geometric(
                 break
         evidence["directions_checked"] = checked
         geometric = equivalent
-    return Verdict("partial_isometry", algebraic, geometric, evidence)
+    return Verdict("partial_isometry", algebraic, geometric, evidence, tol.as_dict())
 
 
 def is_extreme_point(
@@ -419,6 +436,7 @@ def is_extreme_point(
     cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG,
     rng: np.random.Generator | None = None,
     n_directions: int = 6,
+    *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
     """Extreme points of the unit ball: no symmetric perturbation survives.
 
@@ -427,18 +445,18 @@ def is_extreme_point(
     and every sampled nonzero defect direction fails the X1 test.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    pi = is_partial_isometry_algebraic(x)
+    pi = is_partial_isometry_algebraic(x, tol=tol)
     full_support = True
     for b in x.blocks:
         d = b.shape[0]
         left = linalg.operator_norm(np.eye(d) - b @ b.conj().T)
         right = linalg.operator_norm(np.eye(d) - b.conj().T @ b)
-        if min(left, right) > 1e-6:
+        if min(left, right) > tol.classification:
             full_support = False
             break
     algebraic = pi and full_support
 
-    witness = construct_witness(x, cfg)
+    witness = construct_witness(x, cfg, tol=tol)
     evidence: dict = {}
     if witness is not None:
         evidence["witness"] = witness
@@ -452,27 +470,27 @@ def is_extreme_point(
             if x1_member(x, y, cfg):
                 geometric = False
                 break
-    return Verdict("extreme_point", algebraic, geometric, evidence)
+    return Verdict("extreme_point", algebraic, geometric, evidence, tol.as_dict())
 
 
 # ---------------------------------------------------------------------------
 # unitaries
 
 
-def is_unitary_algebraic(x: Element, tol: float = 1e-6) -> bool:
-    """x*x = xx* = 1 within `tol`."""
+def is_unitary_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """x*x = xx* = 1 within tol.classification."""
     one = Element.identity(x.shape)
     return (
-        element_norm(x.H @ x - one) <= tol
-        and element_norm(x @ x.H - one) <= tol
+        element_norm(x.H @ x - one) <= tol.classification
+        and element_norm(x @ x.H - one) <= tol.classification
     )
 
 
 def is_unitary_geometric(
     x: Element,
-    tol: float = 1e-6,
     rng: np.random.Generator | None = None,
     rank_check: bool = True,
+    *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
     """Geometric route: the norming set spans the full dual.
 
@@ -481,31 +499,31 @@ def is_unitary_geometric(
     norming set in this sense and are geometrically non-unitary.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    algebraic = is_unitary_algebraic(x, tol)
+    algebraic = is_unitary_algebraic(x, tol=tol)
     dual_dim = x.shape.dual_dimension
     evidence: dict = {"dual_dimension": dual_dim}
     nrm = element_norm(x)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > tol.classification:
         evidence["reason"] = f"norm {nrm!r} is not 1; norming set empty"
-        return Verdict("unitary", algebraic, False, evidence)
-    desc = norming_set(x, tol)
+        return Verdict("unitary", algebraic, False, evidence, tol.as_dict())
+    desc = norming_set(x, tol.classification)
     evidence["span_dim"] = desc.span_dim
     evidence["warnings"] = list(desc.warnings)
     if rank_check and desc.active_blocks:
         samples = [
             sample_norming_functional(desc, rng) for _ in range(3 * max(desc.span_dim, 1))
         ]
-        evidence["numeric_span_rank"] = numeric_span_rank(samples, tol=1e-7)
+        evidence["numeric_span_rank"] = numeric_span_rank(samples)
     geometric = desc.span_dim == dual_dim
-    return Verdict("unitary", algebraic, geometric, evidence)
+    return Verdict("unitary", algebraic, geometric, evidence, tol.as_dict())
 
 
 def norming_annihilates_defect(
-    x: Element, samples: int, rng: np.random.Generator
+    x: Element, samples: int, rng: np.random.Generator, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """max over sampled norming functionals of |f(1 - x*x)| for a partial
     isometry x; vanishes because dual mass sits on the unit singular frame."""
-    desc = norming_set(x)
+    desc = norming_set(x, tol.classification)
     defect = Element.identity(x.shape) - x.H @ x
     worst = 0.0
     for _ in range(samples):
@@ -567,12 +585,12 @@ def element_min_singular_value(x: Element) -> float:
 
 
 def invertibility_certificate(
-    x: Element, threshold: float = 1e-6
+    x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> InvertibilityCertificate | None:
     """Certificate (u, epsilon) with u the left-polar unitary and epsilon the
-    smallest singular value; None when x is numerically singular."""
+    smallest singular value; None when sigma_min <= tol.classification."""
     sigma_min = element_min_singular_value(x)
-    if sigma_min <= threshold:
+    if sigma_min <= tol.classification:
         return None
     u_blocks = [linalg.polar(b, side="left").isometry for b in x.blocks]
     return InvertibilityCertificate(
@@ -581,9 +599,10 @@ def invertibility_certificate(
 
 
 def verify_certificate(
-    x: Element, cert: InvertibilityCertificate, tol: float = 1e-8
+    x: Element, cert: InvertibilityCertificate, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> bool:
-    """Check a certificate: u unitary, xu* Hermitian, lambda_min >= epsilon.
+    """Check a certificate: u unitary, xu* Hermitian, lambda_min >= epsilon,
+    each within tol.equality.
 
     Malformed certificates (epsilon <= 0, block mismatch) raise; a well-formed
     certificate that fails the spectral conditions returns False.
@@ -595,31 +614,32 @@ def verify_certificate(
     if cert.u.shape != x.shape:
         raise MalformedCertificateError("certificate unitary has mismatched block structure")
     try:
-        result: NormingMinimum = min_real_over_norming(cert.u, x, unitary_tol=tol)
+        result: NormingMinimum = min_real_over_norming(cert.u, x, unitary_tol=tol.equality)
     except PreconditionError:
         return False
-    if result.hermitian_residual > tol:
+    if result.hermitian_residual > tol.equality:
         return False
-    return result.value >= cert.epsilon - tol
+    return result.value >= cert.epsilon - tol.equality
 
 
 # ---------------------------------------------------------------------------
 # unit-dependent predicates
 
 
-def _require_unit(x: Element, unit: Element, tol: float = 1e-8) -> None:
+def _require_unit(x: Element, unit: Element, tol: Tolerances) -> None:
     if unit.shape != x.shape:
         raise ShapeMismatchError("unit and element shapes differ")
     dev = element_norm(unit - Element.identity(unit.shape))
-    if dev > tol:
+    if dev > tol.equality:
         raise PreconditionError(f"supplied unit is not the identity: deviation {dev:.3e}")
 
 
 def lumer_slopes(
-    x: Element, unit: Element, alphas: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
+    x: Element, unit: Element, alphas: tuple[float, ...] = LUMER_ALPHAS,
+    *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> dict[float, float]:
     """Signed slopes d(alpha) = (||1 + i alpha x|| - 1) / alpha for both signs."""
-    _require_unit(x, unit)
+    _require_unit(x, unit, tol)
     out = {}
     for a in alphas:
         for signed in (a, -a):
@@ -630,15 +650,16 @@ def lumer_slopes(
 def is_self_adjoint_lumer(
     x: Element,
     unit: Element,
-    alphas: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
+    alphas: tuple[float, ...] = LUMER_ALPHAS,
     factor: float = 10.0,
+    *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
     """Lumer criterion: ||1 + i alpha x|| = 1 + o(alpha).
 
     For each scale the two signed slopes must decay linearly:
     max |d(+/-alpha)| <= factor * alpha * max(1, ||x||^2).
     """
-    slopes = lumer_slopes(x, unit, alphas)
+    slopes = lumer_slopes(x, unit, alphas, tol=tol)
     bound_scale = max(1.0, element_norm(x) ** 2)
     for a in alphas:
         worst = max(abs(slopes[a]), abs(slopes[-a]))
@@ -669,11 +690,12 @@ def _state_values(b: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", vecs.conj(), b @ vecs)
 
 
-def is_self_adjoint_states(x: Element, unit: Element, tol: float = 1e-8) -> bool:
-    """f(x) real for the spanning family of matrix-unit-derived states."""
-    _require_unit(x, unit)
+def is_self_adjoint_states(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """f(x) real, within tol.equality, for the spanning family of
+    matrix-unit-derived states."""
+    _require_unit(x, unit, tol)
     return all(
-        np.max(np.abs(_state_values(b, _state_vectors(b.shape[0])).imag)) <= tol
+        np.max(np.abs(_state_values(b, _state_vectors(b.shape[0])).imag)) <= tol.equality
         for b in x.blocks
     )
 
@@ -687,7 +709,7 @@ def _from_real_coords(r: np.ndarray, n: int) -> np.ndarray:
     return (r[:half] + 1j * r[half:]).reshape(n, n)
 
 
-def recover_adjoint(x: Element, unit: Element) -> Element:
+def recover_adjoint(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Element:
     """Recover x* from norm data alone: split x = h + ik with h, k in the
     state-detected real subspace and return h - ik.
 
@@ -696,7 +718,7 @@ def recover_adjoint(x: Element, unit: Element) -> Element:
     solution of the induced real-linear system.  The result coincides with
     the blockwise conjugate transpose.
     """
-    _require_unit(x, unit)
+    _require_unit(x, unit, tol)
     out_blocks = []
     for b in x.blocks:
         n = b.shape[0]
@@ -727,6 +749,7 @@ def is_positive(
     unit: Element,
     rng: np.random.Generator | None = None,
     samples: int = 50,
+    *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
     """Three-route positivity: spectral oracle, state values, and the
     norm-shift inequality || ||x|| 1 - x || <= ||x||.
@@ -734,11 +757,11 @@ def is_positive(
     The state route evaluates the spanning basis, the eigenstates of the
     Hermitian part, and `samples` random pure states; its minimum equals
     the smallest eigenvalue of the Hermitian part, so all three routes are
-    unanimous on clean inputs.
+    unanimous on clean inputs.  The Hermitian residual is compared with
+    tol.classification, eigenvalues and state values with tol.equality.
     """
-    _require_unit(x, unit)
+    _require_unit(x, unit, tol)
     rng = rng if rng is not None else np.random.default_rng(0)
-    tol_eq = 1e-8
 
     herm_dev = element_norm(x - x.H)
     lam_min = np.inf
@@ -755,12 +778,12 @@ def is_positive(
         vals = _state_values(b, np.concatenate([_state_vectors(n), eigvecs, pure], axis=1))
         min_re = min(min_re, float(vals.real.min()))
         max_im = max(max_im, float(np.abs(vals.imag).max()))
-    spectral = herm_dev <= 1e-6 and lam_min >= -tol_eq
-    state_route = min_re >= -tol_eq and max_im <= tol_eq
+    spectral = herm_dev <= tol.classification and lam_min >= -tol.equality
+    state_route = min_re >= -tol.equality and max_im <= tol.equality
 
     nrm = element_norm(x)
-    shift_ok = element_norm(nrm * unit - x) <= nrm + tol_eq
-    norm_route = is_self_adjoint_states(x, unit) and shift_ok
+    shift_ok = element_norm(nrm * unit - x) <= nrm + tol.equality
+    norm_route = is_self_adjoint_states(x, unit, tol=tol) and shift_ok
 
     evidence = {
         "lambda_min": None if lam_min is np.inf else float(lam_min),
@@ -773,31 +796,31 @@ def is_positive(
         },
         "unanimous": spectral == state_route == norm_route,
     }
-    return Verdict("positive", spectral, state_route and norm_route, evidence)
+    return Verdict("positive", spectral, state_route and norm_route, evidence, tol.as_dict())
 
 
 def is_projection(
     x: Element,
     unit: Element,
     rng: np.random.Generator | None = None,
+    *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
     """Three-route projection test: idempotent-Hermitian oracle, positive
     partial isometry, and the symmetry x = (1 + v)/2 with v self-adjoint
-    unitary."""
-    _require_unit(x, unit)
-    oracle = (
-        element_norm(x @ x - x) <= 1e-6 and element_norm(x - x.H) <= 1e-6
-    )
+    unitary, each residual within tol.classification."""
+    _require_unit(x, unit, tol)
+    cut = tol.classification
+    oracle = element_norm(x @ x - x) <= cut and element_norm(x - x.H) <= cut
 
-    pos = is_positive(x, unit, rng=rng)
-    pi_and_positive = is_partial_isometry_algebraic(x) and pos.algebraic and pos.geometric
+    pos = is_positive(x, unit, rng=rng, tol=tol)
+    pi_and_positive = is_partial_isometry_algebraic(x, tol=tol) and pos.algebraic and pos.geometric
 
     v = 2.0 * x - unit
     one = Element.identity(x.shape)
     symmetry = (
-        element_norm(v - v.H) <= 1e-6
-        and element_norm(v.H @ v - one) <= 1e-6
-        and element_norm(v @ v.H - one) <= 1e-6
+        element_norm(v - v.H) <= cut
+        and element_norm(v.H @ v - one) <= cut
+        and element_norm(v @ v.H - one) <= cut
     )
 
     evidence = {
@@ -808,4 +831,4 @@ def is_projection(
         },
         "unanimous": oracle == pi_and_positive == symmetry,
     }
-    return Verdict("projection", oracle, pi_and_positive and symmetry, evidence)
+    return Verdict("projection", oracle, pi_and_positive and symmetry, evidence, tol.as_dict())

@@ -28,7 +28,9 @@ from opgeo.classify import (
     is_self_adjoint_lumer,
     is_self_adjoint_states,
     is_unitary_geometric,
+    norm_one_gate,
     verify_certificate,
+    verify_witness,
     recover_adjoint,
     Verdict,
 )
@@ -53,7 +55,7 @@ def _parse_tolerances(pairs) -> Tolerances:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         name, _, raw = item.partition("=")
         if name not in values:
-            raise ValueError(f"unknown tolerance {name!r}; choose from {sorted(values)}")
+            raise ValueError(f"tolerance {name!r} is unknown; choose from {sorted(values)}")
         values[name] = float(raw)
     return Tolerances(**values)
 
@@ -71,18 +73,14 @@ def _parse_shapes(text: str) -> tuple[AlgebraShape, ...]:
     return tuple(shapes)
 
 
-def _load(path: str):
-    return documents.load_element(path)
-
-
 def _unit_requested(args, doc) -> bool:
     return bool(getattr(args, "unit", False) or doc.get("unit_identified", False))
 
 
 def _self_adjoint_verdict(x: Element, unit: Element, tol: Tolerances) -> Verdict:
     algebraic = element_norm(x - x.H) <= tol.classification
-    lumer = is_self_adjoint_lumer(x, unit)
-    states = is_self_adjoint_states(x, unit, tol=tol.equality)
+    lumer = is_self_adjoint_lumer(x, unit, tol=tol)
+    states = is_self_adjoint_states(x, unit, tol=tol)
     return Verdict(
         "self_adjoint",
         algebraic,
@@ -95,8 +93,8 @@ def _self_adjoint_verdict(x: Element, unit: Element, tol: Tolerances) -> Verdict
 def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
     sigma_min = element_min_singular_value(x)
     algebraic = sigma_min > tol.classification
-    cert = invertibility_certificate(x, threshold=tol.classification)
-    geometric = cert is not None and verify_certificate(x, cert, tol=tol.equality)
+    cert = invertibility_certificate(x, tol=tol)
+    geometric = cert is not None and verify_certificate(x, cert, tol=tol)
     evidence = {"sigma_min": sigma_min}
     if cert is not None:
         evidence["certificate"] = cert
@@ -104,37 +102,28 @@ def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
 
 
 def cmd_classify(args) -> int:
-    try:
-        x, doc, raw = _load(args.input)
-    except documents.DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    x, doc, raw = documents.load_element(args.input)
     tol = args.tolerances
     rng = np.random.default_rng(0)
-    nrm = element_norm(x)
-    if nrm <= 1e-12:
-        print("error: the zero element has no norm-one classification", file=sys.stderr)
-        return EXIT_PRECONDITION
+    _, off = norm_one_gate(x, tol=tol)
 
     verdicts = []
-    norm_one = abs(nrm - 1.0) <= tol.classification
-    if norm_one:
+    if off is None:
         verdicts.append(
-            documents.verdict_to_doc(is_partial_isometry_geometric(x, rng=rng))
+            documents.verdict_to_doc(is_partial_isometry_geometric(x, rng=rng, tol=tol))
         )
-        verdicts.append(documents.verdict_to_doc(is_unitary_geometric(x, tol.classification, rng=rng)))
-        verdicts.append(documents.verdict_to_doc(is_extreme_point(x, rng=rng)))
+        verdicts.append(documents.verdict_to_doc(is_unitary_geometric(x, rng=rng, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(is_extreme_point(x, rng=rng, tol=tol)))
     else:
-        reason = f"requires norm 1, got {nrm!r}"
         for name in ("partial_isometry", "unitary", "extreme_point"):
-            verdicts.append(documents.not_applicable_doc(name, reason))
+            verdicts.append(documents.not_applicable_doc(name, off))
     verdicts.append(documents.verdict_to_doc(_invertible_verdict(x, tol)))
 
     if _unit_requested(args, doc):
         unit = Element.identity(x.shape)
         verdicts.append(documents.verdict_to_doc(_self_adjoint_verdict(x, unit, tol)))
-        verdicts.append(documents.verdict_to_doc(is_positive(x, unit, rng=rng)))
-        verdicts.append(documents.verdict_to_doc(is_projection(x, unit, rng=rng)))
+        verdicts.append(documents.verdict_to_doc(is_positive(x, unit, rng=rng, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(is_projection(x, unit, rng=rng, tol=tol)))
 
     report = {
         "tool": "opgeo",
@@ -149,11 +138,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        x, doc, raw = _load(args.input)
-    except documents.DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    x, doc, raw = documents.load_element(args.input)
     tol = args.tolerances
 
     if args.predicate == "invertible":
@@ -165,10 +150,10 @@ def cmd_certify(args) -> int:
             except (OSError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_INPUT
-            accepted = verify_certificate(x, cert, tol=tol.equality)
+            accepted = verify_certificate(x, cert, tol=tol)
             print(documents.dumps({"verified": accepted, "epsilon": cert.epsilon}))
             return EXIT_OK if accepted else EXIT_NEGATIVE
-        cert = invertibility_certificate(x, threshold=tol.classification)
+        cert = invertibility_certificate(x, tol=tol)
         if cert is None:
             print("no certificate: operator is numerically singular", file=sys.stderr)
             return EXIT_NEGATIVE
@@ -184,15 +169,10 @@ def cmd_certify(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        dev = max(
-            abs(element_norm(x + w.y) - 1.0),
-            abs(element_norm(x - w.y) - 1.0),
-        )
-        margin = element_norm(x + w.b * w.y) - 1.0
-        accepted = dev <= tol.equality and margin > 0.0
-        print(documents.dumps({"verified": accepted, "margin": margin, "deviation": dev}))
-        return EXIT_OK if accepted else EXIT_NEGATIVE
-    witness = construct_witness(x, eq_tol=tol.equality)
+        verified, margin, deviation = verify_witness(x, w, tol=tol)
+        print(documents.dumps({"verified": verified, "margin": margin, "deviation": deviation}))
+        return EXIT_OK if verified else EXIT_NEGATIVE
+    witness = construct_witness(x, tol=tol)
     if witness is None:
         print(
             "no witness: operator is a partial isometry at this resolution",
@@ -225,16 +205,12 @@ def cmd_harness(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
-    try:
-        x, doc, raw = _load(args.input)
-    except documents.DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    x, doc, raw = documents.load_element(args.input)
     if not _unit_requested(args, doc):
         print("error: adjoint recovery requires an identified unit (--unit)", file=sys.stderr)
         return EXIT_PRECONDITION
     unit = Element.identity(x.shape)
-    star = recover_adjoint(x, unit)
+    star = recover_adjoint(x, unit, tol=args.tolerances)
     print(documents.dumps(documents.element_to_doc(star, label=doc.get("label"))))
     return EXIT_OK
 
@@ -253,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol",
             action="append",
             metavar="NAME=VALUE",
-            help="override a tolerance (decomposition, equality, classification)",
+            help="override a tolerance: equality (computed quantities agree; "
+            "default 1e-8) or classification (a deviation decides a predicate; "
+            "default 1e-6), with equality <= classification",
         )
 
     p = sub.add_parser("classify", help="run all applicable classifiers on an operator")
@@ -298,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  Library errors that reach here become one stderr
-    line: a violated precondition exits 3, mismatched or malformed input 2."""
+    line: a violated precondition exits 3, an unreadable, mismatched or
+    malformed input 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -311,7 +290,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:  # includes DegenerateInputError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ShapeMismatchError, MalformedCertificateError) as exc:
+    except (OSError, documents.DocumentError, ShapeMismatchError, MalformedCertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

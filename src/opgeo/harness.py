@@ -80,6 +80,12 @@ _NON_PI_SUITES = frozenset({"T1B", "T1X", "T2", "P7"})
 _PROPER_PI_SUITES = frozenset({"T1X", "T2", "T2P", "P7"})
 
 
+#: bound on the rounding of an exact identity (T2P norms, T4 certificate values)
+_IDENTITY_BOUND = 1e-9
+#: a drawn non-projection partial isometry is redrawn until ||x - x*|| exceeds this
+_MIN_SKEW = 1e-3
+
+
 def _undrawable(suite: str, shape: AlgebraShape) -> str | None:
     """Why the generators of `suite` cannot draw at `shape`, or None."""
     if suite in _NON_PI_SUITES and max(shape.block_dims) < 2:
@@ -183,17 +189,12 @@ def _trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 # per-suite trial bodies: return (passed, deviation)
 
 
-def _defect_dir(x: Element, rng: np.random.Generator) -> Element | None:
-    y = classify._defect_direction(x, rng)
-    return y
-
-
 def _trial_t1f(shape, rng, tol: Tolerances):
     x = gen_partial_isometry(shape, random_ranks(shape, rng), rng)
     dev = 0.0
     ok = True
     for _ in range(4):
-        y = _defect_dir(x, rng)
+        y = classify._defect_direction(x, rng)
         if y is not None:
             dev = max(dev, x2_deviation(x, y))
             if not x1_member(x, y):
@@ -206,7 +207,7 @@ def _trial_t1f(shape, rng, tol: Tolerances):
 
 def _trial_t1b(shape, rng, tol: Tolerances):
     x = gen_norm_one_non_pi(shape, rng)
-    w = construct_witness(x)
+    w = construct_witness(x, tol=tol)
     if w is None:
         return False, float("inf")
     dev = max(abs(w.norm_plus - 1.0), abs(w.norm_minus - 1.0))
@@ -225,7 +226,7 @@ def _trial_t1x(shape, rng, tol: Tolerances):
     else:
         x = gen_norm_one_non_pi(shape, rng)
         expected = False
-    v = is_extreme_point(x, rng=rng)
+    v = is_extreme_point(x, rng=rng, tol=tol)
     ok = v.agreement and v.algebraic == expected
     return ok, 0.0 if ok else 1.0
 
@@ -241,7 +242,7 @@ def _trial_t2(shape, rng, tol: Tolerances):
     else:
         x = gen_norm_one_non_pi(shape, rng)
         expect_full = False
-    v = is_unitary_geometric(x, rng=rng)
+    v = is_unitary_geometric(x, rng=rng, tol=tol)
     span = v.evidence.get("span_dim", 0)
     rank = v.evidence.get("numeric_span_rank", span)
     dev = float(abs(rank - span))
@@ -256,13 +257,13 @@ def _trial_t2(shape, rng, tol: Tolerances):
 
 def _trial_t2p(shape, rng, tol: Tolerances):
     x = gen_partial_isometry(shape, random_ranks(shape, rng, proper=True), rng)
-    ann = norming_annihilates_defect(x, 50, rng)
+    ann = norming_annihilates_defect(x, 50, rng, tol=tol)
     rep = defect_norm_identity(x)
     dev = max(ann, rep.identity_deviation, rep.inequality_slack)
     ok = (
         ann <= tol.equality
-        and rep.identity_deviation <= 1e-9
-        and rep.inequality_slack <= 1e-9
+        and rep.identity_deviation <= _IDENTITY_BOUND
+        and rep.inequality_slack <= _IDENTITY_BOUND
     )
     return ok, dev
 
@@ -270,25 +271,25 @@ def _trial_t2p(shape, rng, tol: Tolerances):
 def _trial_t4(shape, rng, tol: Tolerances):
     if int(rng.integers(0, 2)) == 0:
         x = gen_invertible(shape, rng)
-        cert = invertibility_certificate(x)
+        cert = invertibility_certificate(x, tol=tol)
         if cert is None:
             return False, float("inf")
-        res = min_real_over_norming(cert.u, x)
+        res = min_real_over_norming(cert.u, x, unitary_tol=tol.equality)
         dev = max(
             res.hermitian_residual,
             abs(res.value - element_min_singular_value(x)),
         )
-        ok = verify_certificate(x, cert) and dev <= 1e-9
+        ok = verify_certificate(x, cert, tol=tol) and dev <= _IDENTITY_BOUND
         return ok, dev
     x = gen_singular(shape, rng)
-    cert = invertibility_certificate(x)
+    cert = invertibility_certificate(x, tol=tol)
     if cert is not None:
         return False, float("inf")
-    u_blocks = [np.linalg.svd(b)[0] @ np.linalg.svd(b)[2] for b in x.blocks]
+    u_blocks = [w @ vh for w, _, vh in map(np.linalg.svd, x.blocks)]
     u = Element(x.shape, tuple(u_blocks))
-    res = min_real_over_norming(u, x)
+    res = min_real_over_norming(u, x, unitary_tol=tol.equality)
     dev = abs(min(res.value, 0.0))
-    return res.value <= 1e-6, dev
+    return res.value <= tol.classification, dev
 
 
 def _trial_lumer(shape, rng, tol: Tolerances):
@@ -304,8 +305,8 @@ def _trial_lumer(shape, rng, tol: Tolerances):
             k = (0.3 / nk) * k
         x = h + 0.5j * k
         expected = False
-    lum = is_self_adjoint_lumer(x, unit)
-    states = is_self_adjoint_states(x, unit)
+    lum = is_self_adjoint_lumer(x, unit, tol=tol)
+    states = is_self_adjoint_states(x, unit, tol=tol)
     ok = lum == expected and states == expected
     return ok, 0.0 if ok else 1.0
 
@@ -325,7 +326,7 @@ def _trial_p6(shape, rng, tol: Tolerances):
             if element_norm(x - x.H) > 0.1:
                 break
         expected = False
-    v = is_positive(x, unit, rng=rng)
+    v = is_positive(x, unit, rng=rng, tol=tol)
     ok = v.evidence["unanimous"] and v.algebraic == expected and v.agreement
     return ok, 0.0 if ok else 1.0
 
@@ -350,13 +351,13 @@ def _trial_p7(shape, rng, tol: Tolerances):
     elif case == 1:
         while True:
             x = gen_partial_isometry(shape, random_ranks(shape, rng, proper=True), rng)
-            if element_norm(x - x.H) > 1e-3:
+            if element_norm(x - x.H) > _MIN_SKEW:
                 break
         expected = False
     else:
         x = gen_norm_one_non_pi(shape, rng)
         expected = False
-    v = is_projection(x, unit, rng=rng)
+    v = is_projection(x, unit, rng=rng, tol=tol)
     ok = v.evidence["unanimous"] and v.algebraic == expected and v.agreement
     return ok, 0.0 if ok else 1.0
 
@@ -364,9 +365,9 @@ def _trial_p7(shape, rng, tol: Tolerances):
 def _trial_adj(shape, rng, tol: Tolerances):
     unit = Element.identity(shape)
     x = gen_ginibre(shape, rng)
-    star = recover_adjoint(x, unit)
+    star = recover_adjoint(x, unit, tol=tol)
     dev = element_norm(star - x.H)
-    twice = recover_adjoint(star, unit)
+    twice = recover_adjoint(star, unit, tol=tol)
     dev = max(dev, element_norm(twice - x))
     return dev <= tol.equality, dev
 

@@ -12,12 +12,8 @@ import numpy as np
 
 from opgeo.errors import LinalgError
 
-#: residual tolerance for decompositions
-DECOMPOSITION_TOL = 1e-10
-#: tolerance for equality assertions between computed quantities
-EQUALITY_TOL = 1e-8
-#: threshold at which a numeric difference becomes a semantic decision
-CLASSIFICATION_TOL = 1e-6
+#: relative ||A - A*|| up to which an input counts as Hermitian
+HERMITIAN_RESIDUAL_BOUND = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -83,7 +79,7 @@ class PolarDecomposition:
     isometry: np.ndarray
 
 
-def hermitian_eig(a, tol: float = 1e-9) -> SpectralDecomposition:
+def hermitian_eig(a, tol: float = HERMITIAN_RESIDUAL_BOUND) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Rejects non-square or non-Hermitian input (relative tolerance `tol`).
@@ -152,7 +148,7 @@ def polar(a, side: str = "left") -> PolarDecomposition:
     return PolarDecomposition(side=side, absolute=absolute, isometry=u)
 
 
-def apply_function_hermitian(a, fn, tol: float = 1e-9) -> np.ndarray:
+def apply_function_hermitian(a, fn, tol: float = HERMITIAN_RESIDUAL_BOUND) -> np.ndarray:
     """Functional calculus: U diag(fn(lambda_i)) U* for Hermitian A.
 
     `fn` is sampled on the spectrum; it may be scalar or vectorized.
@@ -164,8 +160,3 @@ def apply_function_hermitian(a, fn, tol: float = 1e-9) -> np.ndarray:
     if np.allclose(vals.imag, 0.0):
         out = 0.5 * (out + out.conj().T)
     return out
-
-
-def matrix_abs(a, side: str = "left") -> np.ndarray:
-    """(AA*)^(1/2) for side 'left', (A*A)^(1/2) for side 'right'."""
-    return polar(a, side=side).absolute

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from collections import Counter
@@ -10,6 +11,7 @@ from conftest import diag_element
 from opgeo import documents
 from opgeo.algebra import AlgebraShape, Element, element_norm
 from opgeo.classify import (
+    DEFAULT_TOLERANCES,
     DEFAULT_WITNESS_CONFIG,
     InvertibilityCertificate,
     Tolerances,
@@ -34,6 +36,7 @@ from opgeo.classify import (
     norming_annihilates_defect,
     recover_adjoint,
     verify_certificate,
+    verify_witness,
     x1_member,
     x2_deviation,
     x2_member,
@@ -65,7 +68,8 @@ def unit(shape: AlgebraShape) -> Element:
 class TestConfig:
     def test_tolerances_defaults(self):
         t = Tolerances()
-        assert (t.decomposition, t.equality, t.classification) == (1e-10, 1e-8, 1e-6)
+        assert (t.equality, t.classification) == (1e-8, 1e-6)
+        assert t.as_dict() == {"equality": 1e-8, "classification": 1e-6}
 
     def test_witness_function_values(self):
         assert default_witness_function(0.5) == pytest.approx(0.25)
@@ -77,10 +81,10 @@ class TestConfig:
         [
             {"equality": -1.0},
             {"classification": 0.0},
-            {"decomposition": float("nan")},
+            {"equality": float("nan")},
             {"classification": float("inf")},
             {"classification": 1e-9},
-            {"decomposition": 1e-7},
+            {"equality": 1e-5},
         ],
     )
     def test_tolerances_rejects_bad_values(self, values):
@@ -115,6 +119,25 @@ class TestWitness:
         assert w.norm_at_b == pytest.approx(1.5)
         assert w.margin == pytest.approx(0.5)
         assert w.spectral_point == pytest.approx(0.5)
+
+    def test_verify_witness_applies_the_construction_rule(self):
+        x = diag_element([1.0, 0.5])
+        w = construct_witness(x)
+        verified, margin, deviation = verify_witness(x, w)
+        assert verified and deviation <= 1e-15
+        assert margin == pytest.approx(0.5)
+        # b = 0 leaves x + by = x: no margin
+        assert verify_witness(x, dataclasses.replace(w, b=0.0))[:2] == (False, 0.0)
+        # a witness of another operator breaks ||x +/- y|| = ||x||
+        assert not verify_witness(diag_element([1.0, 0.9]), w)[0]
+
+    def test_ray_witness_off_unit_norm(self):
+        # ||x|| = 1 + 5e-7 passes the default norm gate; the witness is built
+        # for the ray of x and its invariants hold against ||x||
+        x = diag_element([1.0 + 5e-7, 0.5, 0.2])
+        w = construct_witness(x)
+        assert verify_witness(x, w)[0]
+        assert max(abs(w.norm_plus - element_norm(x)), abs(w.norm_minus - element_norm(x))) <= 1e-15
 
     def test_none_for_partial_isometry(self, rng):
         assert construct_witness(unit(M2_M3)) is None
@@ -511,3 +534,59 @@ class TestProjection:
         one = unit(M2)
         v = is_projection(diag_element([1.0, -1.0]), one, rng=rng)
         assert not v.algebraic and not v.geometric
+
+
+E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+E22 = np.diag([0.0, 1.0])
+LOOSE = Tolerances(classification=1e-3)
+
+
+class TestTolerancePolicy:
+    """Every classifier decides with the Tolerances it is given."""
+
+    @pytest.mark.parametrize(
+        "route, needs_unit, diagonal, perturbation",
+        [
+            (is_partial_isometry_geometric, False, [1.0, 0.0], E22),
+            (is_extreme_point, False, [1.0, 1.0], -E22),
+            (is_unitary_geometric, False, [1.0, 1.0], E12),
+            (is_positive, True, [1.0, 0.0], E12),
+            (is_projection, True, [1.0, 0.0], E12),
+        ],
+    )
+    def test_verdict_routes(self, route, needs_unit, diagonal, perturbation):
+        # a member perturbed by 1e-4: outside the default classification
+        # tolerance, inside 1e-3
+        x = Element.from_blocks([np.diag(diagonal) + 1e-4 * perturbation])
+        args = (x, Element.identity(x.shape)) if needs_unit else (x,)
+        strict = route(*args, rng=np.random.default_rng(0))
+        loose = route(*args, rng=np.random.default_rng(0), tol=LOOSE)
+        assert strict.tolerances == DEFAULT_TOLERANCES.as_dict()
+        assert loose.tolerances == LOOSE.as_dict()
+        assert (strict.algebraic, loose.algebraic) == (False, True)
+
+    @pytest.mark.parametrize(
+        "decide, tol",
+        [
+            (lambda tol: is_partial_isometry_algebraic(diag_element([1.0, 1e-4]), tol=tol), LOOSE),
+            (lambda tol: is_unitary_algebraic(diag_element([1.0, 1.0 - 1e-4]), tol=tol), LOOSE),
+            # sigma_min = 1e-4: certified at the default, singular at 1e-3
+            (lambda tol: invertibility_certificate(diag_element([1.0, 1e-4]), tol=tol) is None, LOOSE),
+            (
+                lambda tol: verify_certificate(
+                    diag_element([2.0, 1.0]),
+                    InvertibilityCertificate(u=unit(M2), epsilon=1.0 + 1e-4),
+                    tol=tol,
+                ),
+                Tolerances(equality=1e-3, classification=1e-3),
+            ),
+            (
+                lambda tol: is_self_adjoint_states(
+                    Element.from_blocks([np.diag([1.0, 0.0]) + 1e-4j * E12]), unit(M2), tol=tol
+                ),
+                Tolerances(equality=1e-3, classification=1e-3),
+            ),
+        ],
+    )
+    def test_boolean_routes(self, decide, tol):
+        assert (decide(DEFAULT_TOLERANCES), decide(tol)) == (False, True)

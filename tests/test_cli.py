@@ -91,6 +91,12 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", [["classify"], ["certify", "--predicate", "invertible"], ["adjoint"]])
+    def test_missing_input_exits_2(self, tmp_path, command):
+        code, out, err = run_cli(command[0], str(tmp_path / "absent.json"), *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_zero_element_exits_3(self, tmp_path):
         path = write_doc(
             tmp_path, "zero.json", documents.element_to_doc(diag_element([0.0, 0.0]))
@@ -110,17 +116,38 @@ class TestClassify:
         code, _, err = run_cli("classify", identity3, "--tol", "bogus=1")
         assert code == 2
 
-    def test_route_precondition_exits_3(self, tmp_path):
-        # the norm gate passes at classification=1e-3, but the witness route
-        # still requires ||x|| = 1 to 1e-6 and raises PreconditionError
+    def test_norm_gate_tolerance_reaches_the_routes(self, tmp_path):
+        # the norm gate passes at classification=1e-3, and the witness route
+        # classifies at the same tolerance
         path = write_doc(
             tmp_path, "x.json", documents.element_to_doc(diag_element([1.0005, 0.5, 0.2]))
         )
         code, out, err = run_cli("classify", path, "--tol", "classification=1e-3")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert code == 0
+        assert err == ""
+        verdicts = {v["predicate"]: v for v in json.loads(out)["verdicts"]}
+        pi = verdicts["partial_isometry"]
+        assert pi["status"] == "classified"
+        assert not pi["algebraic"] and not pi["geometric"]
+        assert "witness" in pi["evidence"]
+        assert pi["tolerances"] == {"equality": 1e-8, "classification": 1e-3}
+
+    @pytest.mark.parametrize("top", [1.0 + 5e-7, 1.0 - 5e-7])
+    def test_off_unit_norm_within_default_tolerance(self, tmp_path, top):
+        # ||x|| passes the default norm gate (1e-6); the witness is built for
+        # the ray of x, so its invariants hold against ||x|| and it verifies
+        path = write_doc(
+            tmp_path, "x.json", documents.element_to_doc(diag_element([top, 0.5, 0.2]))
+        )
+        code, out, err = run_cli("classify", path)
+        assert (code, err) == (0, "")
+        verdicts = {v["predicate"]: v for v in json.loads(out)["verdicts"]}
+        wpath = write_doc(tmp_path, "w.json", verdicts["partial_isometry"]["evidence"]["witness"])
+        code, out, err = run_cli(
+            "certify", path, "--predicate", "partial-isometry", "--verify", wpath
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verified"] is True
 
     def test_deterministic_bytes(self, diag_half):
         first = run_cli("classify", diag_half, "--unit")
@@ -242,13 +269,13 @@ class TestHarness:
         assert "cannot draw at shape M1" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "tol", ["equality=-1", "classification=nan", "classification=1e-9"]
+        "tol", ["equality=-1", "classification=nan", "classification=1e-9", "decomposition=1e-10"]
     )
     def test_invalid_tolerance_exits_2(self, tol):
         code, out, err = run_cli("harness", "--tol", tol, "--suites", "ADJ")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: tolerance")
+        assert err.startswith("error: tolerance") and err.count("\n") == 1
 
     def test_timing_flag_adds_wall_time(self):
         code, out, _ = run_cli(

@@ -35,6 +35,7 @@ from opgeo.classify import (
     Verdict,
 )
 from opgeo.errors import (
+    LinalgError,
     MalformedCertificateError,
     PreconditionError,
     ShapeMismatchError,
@@ -91,9 +92,9 @@ def _self_adjoint_verdict(x: Element, unit: Element, tol: Tolerances) -> Verdict
 
 
 def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
-    sigma_min = element_min_singular_value(x)
-    algebraic = sigma_min > tol.classification
     cert = invertibility_certificate(x, tol=tol)
+    sigma_min = cert.epsilon if cert is not None else element_min_singular_value(x)
+    algebraic = sigma_min > tol.classification
     geometric = cert is not None and verify_certificate(x, cert, tol=tol)
     evidence = {"sigma_min": sigma_min}
     if cert is not None:
@@ -152,6 +153,8 @@ def cmd_certify(args) -> int:
                 return EXIT_INPUT
             accepted = verify_certificate(x, cert, tol=tol)
             print(documents.dumps({"verified": accepted, "epsilon": cert.epsilon}))
+            if not accepted:
+                print("not verified: the certificate fails on this operator", file=sys.stderr)
             return EXIT_OK if accepted else EXIT_NEGATIVE
         cert = invertibility_certificate(x, tol=tol)
         if cert is None:
@@ -171,6 +174,8 @@ def cmd_certify(args) -> int:
             return EXIT_INPUT
         verified, margin, deviation = verify_witness(x, w, tol=tol)
         print(documents.dumps({"verified": verified, "margin": margin, "deviation": deviation}))
+        if not verified:
+            print("not verified: the witness fails on this operator", file=sys.stderr)
         return EXIT_OK if verified else EXIT_NEGATIVE
     witness = construct_witness(x, tol=tol)
     if witness is None:
@@ -277,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command.  Library errors that reach here become one stderr
     line: a violated precondition exits 3, an unreadable, mismatched or
-    malformed input 2."""
+    malformed input 2, and so does an input whose arithmetic overflows
+    (a floating-point overflow or invalid operation raises here instead of
+    warning and carrying inf or nan into a verdict)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -286,12 +293,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except PreconditionError as exc:  # includes DegenerateInputError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (OSError, documents.DocumentError, ShapeMismatchError, MalformedCertificateError) as exc:
+    except (
+        OSError, documents.DocumentError, ShapeMismatchError, MalformedCertificateError, LinalgError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: input out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

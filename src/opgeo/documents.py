@@ -64,18 +64,15 @@ def element_from_doc(doc) -> Element:
     try:
         dims = [int(d) for d in doc["shape"]]
         blocks_raw = doc["blocks"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"missing or malformed field: {exc}") from exc
     if not isinstance(blocks_raw, list) or len(blocks_raw) != len(dims):
         raise DocumentError("blocks must be a list matching shape")
     try:
         shape = AlgebraShape(tuple(dims))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    blocks = [_pairs_to_block(p, n) for p, n in zip(blocks_raw, dims)]
-    try:
+        blocks = [_pairs_to_block(p, n) for p, n in zip(blocks_raw, dims)]
         return Element(shape, tuple(blocks))
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(str(exc)) from exc
 
 
@@ -90,36 +87,28 @@ def load_element(path: str) -> tuple[Element, dict, bytes]:
             raw = fh.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text encoding
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return element_from_doc(doc), doc, raw
 
 
+#: the numeric fields of a witness document, each finite
+_WITNESS_NUMBERS = ("b", "norm_plus", "norm_minus", "norm_at_b", "margin", "spectral_point")
+
+
 def witness_to_doc(w: PartialIsometryWitness) -> dict:
-    return {
-        "type": "partial-isometry-witness",
-        "y": element_to_doc(w.y),
-        "b": w.b,
-        "norm_plus": w.norm_plus,
-        "norm_minus": w.norm_minus,
-        "norm_at_b": w.norm_at_b,
-        "margin": w.margin,
-        "spectral_point": w.spectral_point,
-    }
+    doc = {"type": "partial-isometry-witness", "y": element_to_doc(w.y)}
+    return doc | {key: getattr(w, key) for key in _WITNESS_NUMBERS}
 
 
 def witness_from_doc(doc) -> PartialIsometryWitness:
     try:
-        return PartialIsometryWitness(
-            y=element_from_doc(doc["y"]),
-            b=float(doc["b"]),
-            norm_plus=float(doc["norm_plus"]),
-            norm_minus=float(doc["norm_minus"]),
-            norm_at_b=float(doc["norm_at_b"]),
-            margin=float(doc["margin"]),
-            spectral_point=float(doc["spectral_point"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        numbers = {key: float(doc[key]) for key in _WITNESS_NUMBERS}
+        bad = [key for key, value in numbers.items() if not np.isfinite(value)]
+        if bad:
+            raise DocumentError(f"{', '.join(bad)} must be finite")
+        return PartialIsometryWitness(y=element_from_doc(doc["y"]), **numbers)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"malformed witness document: {exc}") from exc
 
 
@@ -136,7 +125,7 @@ def certificate_from_doc(doc) -> InvertibilityCertificate:
         return InvertibilityCertificate(
             u=element_from_doc(doc["u"]), epsilon=float(doc["epsilon"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"malformed certificate document: {exc}") from exc
 
 

@@ -7,8 +7,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import diag_element
-from opgeo import documents
+from conftest import diag_element, random_complex, random_hermitian
+from opgeo import classify, documents, linalg
 from opgeo.algebra import AlgebraShape, Element, element_norm
 from opgeo.classify import (
     DEFAULT_TOLERANCES,
@@ -41,7 +41,7 @@ from opgeo.classify import (
     x2_deviation,
     x2_member,
 )
-from opgeo.cli import main
+from opgeo.cli import _invertible_verdict, main
 from opgeo.errors import (
     DegenerateInputError,
     MalformedCertificateError,
@@ -437,6 +437,28 @@ class TestInvertibility:
             verify_certificate(x, {"u": None, "epsilon": 1.0})
 
 
+class TestInvertibleVerdict:
+    def test_one_svd_per_block(self, monkeypatch):
+        x = gen_invertible(M2_M3, np.random.default_rng(5))
+        calls = _count_linalg(monkeypatch, "svd")
+        v = _invertible_verdict(x, DEFAULT_TOLERANCES)
+        assert v.algebraic and v.geometric
+        assert v.evidence["sigma_min"] == v.evidence["certificate"].epsilon
+        assert sum(calls.values()) == 2
+
+    def test_certificate_unitary_is_the_polar_factor(self):
+        x = gen_invertible(M2_M3, np.random.default_rng(7))
+        cert = invertibility_certificate(x)
+        for u, b in zip(cert.u.blocks, x.blocks):
+            assert np.array_equal(u, linalg.polar(b, side="left").isometry)
+        assert cert.epsilon == pytest.approx(element_min_singular_value(x), rel=1e-14)
+
+    def test_singular_verdict(self):
+        v = _invertible_verdict(diag_element([1.0, 0.0]), DEFAULT_TOLERANCES)
+        assert (v.algebraic, v.geometric) == (False, False)
+        assert v.evidence == {"sigma_min": 0.0}
+
+
 class TestSelfAdjoint:
     def test_lumer_hermitian(self, rng):
         one = unit(M2)
@@ -493,6 +515,65 @@ class TestRecoverAdjoint:
         x = gen_hermitian(M2_M3, rng) + 1j * gen_hermitian(M2_M3, rng)
         twice = recover_adjoint(recover_adjoint(x, one), one)
         assert element_norm(twice - x) <= 1e-8
+
+
+def seed_state_vectors(n: int) -> np.ndarray:
+    """The seed's loop construction of `_state_vectors`, kept as the oracle."""
+    eye = np.eye(n, dtype=np.complex128)
+    cols = list(eye)
+    for j in range(n):
+        for k in range(j + 1, n):
+            cols.append((eye[j] + eye[k]) / np.sqrt(2.0))
+            cols.append((eye[j] + 1j * eye[k]) / np.sqrt(2.0))
+    return np.stack(cols, axis=1)
+
+
+class TestStateTable:
+    """Every state route reads the values of the n^2 spanning states."""
+
+    def test_state_vectors_match_the_seed_loop(self):
+        for n in range(1, 7):
+            assert np.array_equal(classify._state_vectors(n), seed_state_vectors(n))
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (6,), (2, 3)], ids=lambda d: "+".join(f"M{n}" for n in d))
+    def test_hermitian_from_states_inverts_state_values(self, dims, rng):
+        for n in dims:
+            h = random_hermitian(n, rng)
+            vals = classify._state_values(h, classify._state_vectors(n))
+            assert np.max(np.abs(vals.imag)) <= 1e-14
+            back = classify._hermitian_from_states(vals.real, n)
+            assert np.array_equal(back, back.conj().T)
+            np.testing.assert_allclose(back, h, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 3), (16,)], ids=lambda d: "+".join(f"M{n}" for n in d))
+    def test_recover_adjoint_to_rounding(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        x = Element.from_blocks([3.0 * random_complex(n, rng) for n in dims])
+        star = recover_adjoint(x, unit(x.shape))
+        assert element_norm(star - x.H) <= 1e-13 * max(1.0, element_norm(x))
+
+    def test_adjoint_command_takes_no_svd_or_lstsq(self, tmp_path, monkeypatch):
+        x = Element.from_blocks([random_complex(16, np.random.default_rng(16))])
+        path = tmp_path / "x16.json"
+        path.write_text(json.dumps(documents.element_to_doc(x)))
+        calls = _count_linalg(monkeypatch, "svd", "lstsq")
+        with redirect_stdout(io.StringIO()):
+            assert main(["adjoint", str(path), "--unit"]) == 0
+        assert calls == Counter()
+
+    def test_is_positive_evaluates_states_once_per_block(self, monkeypatch, rng):
+        columns = []
+        original = classify._state_values
+
+        def counted(b, vecs):
+            columns.append(vecs.shape[1])
+            return original(b, vecs)
+
+        monkeypatch.setattr(classify, "_state_values", counted)
+        v = is_positive(gen_hermitian(M2_M3, rng), unit(M2_M3), rng=rng)
+        assert v.evidence["unanimous"]
+        # n^2 spanning states, n eigenstates, 50 random states per block
+        assert columns == [4 + 2 + 50, 9 + 3 + 50]
 
 
 class TestPositive:

@@ -227,6 +227,30 @@ class TestCertify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
+    def test_non_finite_witness_number_exits_2(self, tmp_path, diag_half, value):
+        _, out, _ = run_cli("certify", diag_half, "--predicate", "partial-isometry")
+        wdoc = json.loads(out)
+        wdoc["b"] = value  # json writes Infinity / NaN, and reads them back
+        wpath = write_doc(tmp_path, "w.json", wdoc)
+        code, out, err = run_cli(
+            "certify", diag_half, "--predicate", "partial-isometry", "--verify", wpath
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "b must be finite" in err and err.count("\n") == 1
+
+    def test_rejected_verification_explains_itself(self, tmp_path, diag_half):
+        _, out, _ = run_cli("certify", diag_half, "--predicate", "partial-isometry")
+        wdoc = json.loads(out)
+        wdoc["b"] = 1.0  # ||x + y|| = ||x||: no margin
+        wpath = write_doc(tmp_path, "w.json", wdoc)
+        code, out, err = run_cli(
+            "certify", diag_half, "--predicate", "partial-isometry", "--verify", wpath
+        )
+        assert code == 4
+        assert json.loads(out)["verified"] is False
+        assert err.startswith("not verified: ") and err.count("\n") == 1
+
     def test_partial_isometry_of_true_pi_exits_4(self, identity3):
         code, _, err = run_cli("certify", identity3, "--predicate", "partial-isometry")
         assert code == 4
@@ -302,6 +326,38 @@ class TestAdjoint:
         path = write_doc(tmp_path, "x.json", documents.element_to_doc(x))
         code, _, err = run_cli("adjoint", path)
         assert code == 3
+
+
+class TestOverflow:
+    """Finite entries whose arithmetic overflows: one stderr line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "command, block",
+        [
+            (["classify", "--unit"], 1e308 * np.ones((2, 2))),
+            (["classify", "--unit"], 1e308 * np.eye(2)),
+            (["classify", "--unit"], 1e200 * np.eye(3)),
+            (["adjoint", "--unit"], 1e308 * np.ones((2, 2))),  # a state value overflows
+        ],
+        ids=["classify-ones", "classify-identity", "classify-1e200", "adjoint-ones"],
+    )
+    def test_exits_2(self, tmp_path, command, block):
+        path = write_doc(
+            tmp_path, "big.json", documents.element_to_doc(Element.from_blocks([block]))
+        )
+        code, out, err = run_cli(command[0], path, *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_adjoint_of_large_finite_entries(self, tmp_path):
+        # the diagonal values halve before they add, so 1e308 + 9e307 does
+        # not overflow
+        x = Element.from_blocks([np.diag([1e308, 9e307]) + 1e307j * np.eye(2)])
+        path = write_doc(tmp_path, "big.json", documents.element_to_doc(x))
+        code, out, err = run_cli("adjoint", path, "--unit")
+        assert (code, err) == (0, "")
+        star = documents.element_from_doc(json.loads(out))
+        assert element_norm(star - x.H) <= 1e-15 * element_norm(x)
 
 
 class TestDocuments:

@@ -40,7 +40,7 @@ from opgeo.errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from opgeo.harness import ALL_SUITES, DEFAULT_SHAPES, TrialConfig, run_suite
+from opgeo.harness import ALL_SUITES, DEFAULT_SHAPES, MAX_BLOCK_DIM, TrialConfig, run_suite
 from opgeo.algebra import AlgebraShape
 
 EXIT_OK = 0
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shapes",
         default=",".join(str(s) for s in DEFAULT_SHAPES),
-        help="comma-separated, block dims joined by + (e.g. M2,M4,M2+M3)",
+        help="comma-separated, block dims joined by + (e.g. M2,M4,M2+M3), "
+        f"each at most {MAX_BLOCK_DIM}",
     )
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--timing", action="store_true", help="include wall times in JSON output")

@@ -80,6 +80,8 @@ _NON_PI_SUITES = frozenset({"T1B", "T1X", "T2", "P7"})
 _PROPER_PI_SUITES = frozenset({"T1X", "T2", "T2P", "P7"})
 
 
+#: largest block dimension a trial may draw: the desk scale, n <= 64
+MAX_BLOCK_DIM = 64
 #: bound on the rounding of an exact identity (T2P norms, T4 certificate values)
 _IDENTITY_BOUND = 1e-9
 #: a drawn non-projection partial isometry is redrawn until ||x - x*|| exceeds this
@@ -109,6 +111,9 @@ class TrialConfig:
         unknown = [s for s in self.suites if s not in SUITE_IDS]
         if unknown:
             raise ValueError(f"unknown suite name(s): {unknown}")
+        for shape in self.shapes:
+            if max(shape.block_dims) > MAX_BLOCK_DIM:
+                raise ValueError(f"shape {shape} has a block above dimension {MAX_BLOCK_DIM}")
         for suite in self.suites:
             for shape in self.shapes:
                 reason = _undrawable(suite, shape)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import diag_element, random_complex, random_hermitian
 from opgeo import classify, documents, linalg
-from opgeo.algebra import AlgebraShape, Element, element_norm
+from opgeo.algebra import SPAN_RANK_TOL, AlgebraShape, Element, element_norm
 from opgeo.classify import (
     DEFAULT_TOLERANCES,
     DEFAULT_WITNESS_CONFIG,
@@ -324,6 +324,57 @@ class TestX1Member:
         assert sum(calls.values()) <= 250
 
 
+def seed_x2_deviation(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> float:
+    """Reference oracle: the whole-grid X2 deviation that the chunked
+    x2_deviation and x2_member replaced, kept verbatim."""
+    y_norm = element_norm(y)
+    if y_norm <= 1e-12:
+        return abs(element_norm(x) - 1.0)
+    bs = cfg.b_grid()
+    norms = classify._grid_norms(x, y, bs)
+    reference = np.maximum(1.0, np.abs(bs) * y_norm)
+    return float(np.max(np.abs(norms - reference)))
+
+
+class TestX2Member:
+    @pytest.mark.parametrize(
+        "dims", [(2,), (4,), (6,), (8,), (2, 3), (16,)], ids=lambda d: "+".join(f"M{n}" for n in d)
+    )
+    def test_matches_seed_oracle(self, dims):
+        rng = np.random.default_rng(sum(dims) * 103 + len(dims))
+        outcomes = []
+        for _ in range(2):
+            for x, y in _x1_corpus(AlgebraShape(dims), rng):
+                expected = seed_x2_deviation(x, y)
+                assert x2_deviation(x, y) == expected
+                got = x2_member(x, y)
+                assert type(got) is bool
+                assert got == (expected <= DEFAULT_WITNESS_CONFIG.member_tol)
+                outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+    @staticmethod
+    def _m8_partial_isometry():
+        rng = np.random.default_rng(8)
+        return gen_partial_isometry(AlgebraShape((8,)), (5,), rng), rng
+
+    def test_random_direction_stops_after_the_largest_radius(self, monkeypatch):
+        x, rng = self._m8_partial_isometry()
+        y = _random_direction(x, rng)
+        calls = _count_linalg(monkeypatch, "svd")
+        assert x2_member(x, y) is False
+        assert calls == Counter({("svd", (DEFAULT_WITNESS_CONFIG.n_phases,)): 1})
+
+    def test_defect_direction_covers_the_grid(self, monkeypatch):
+        x, rng = self._m8_partial_isometry()
+        y = _defect_direction(x, rng)
+        calls = _count_linalg(monkeypatch, "svd")
+        assert x2_member(x, y) is True
+        # the largest radius's 16 phases, then the other 12 radii
+        assert calls == Counter({("svd", (16,)): 1, ("svd", (192,)): 1})
+        assert sum(n * k for (_, (n,)), k in calls.items()) == DEFAULT_WITNESS_CONFIG.b_grid().size
+
+
 class TestPartialIsometryVerdicts:
     def test_partial_isometry(self, rng):
         x = gen_partial_isometry(M2_M3, random_ranks(M2_M3, rng), rng)
@@ -368,6 +419,39 @@ class TestUnitary:
         v = is_unitary_geometric(diag_element([2.0, 2.0]), rng=rng)
         assert not v.geometric
         assert "reason" in v.evidence
+
+
+class TestSpanCrossCheck:
+    """span_dim + 10 sampled norming functionals recover the rank span_dim."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: gen_unitary(M2, rng),
+            lambda rng: gen_unitary(M2_M3, rng),
+            lambda rng: gen_unitary(AlgebraShape((8,)), rng),
+            lambda rng: gen_unitary(AlgebraShape((16,)), rng),
+            lambda rng: gen_partial_isometry(AlgebraShape((8,)), (5,), rng),
+        ],
+        ids=["M2", "M2+M3", "M8", "M16", "M8-PI"],
+    )
+    def test_oversampled_rank(self, monkeypatch, make):
+        rng = np.random.default_rng(16)
+        x = make(rng)
+        stacks = []
+        original = classify.numeric_span_rank
+
+        def counted(fs, *args, **kwargs):
+            stacks.append(np.stack([f.vectorize() for f in fs]))
+            return original(fs, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "numeric_span_rank", counted)
+        v = is_unitary_geometric(x, rng=rng)
+        span = v.evidence["span_dim"]
+        assert [len(m) for m in stacks] == [span + 10]
+        assert v.evidence["numeric_span_rank"] == span
+        s = np.linalg.svd(stacks[0], compute_uv=False)
+        assert s[span - 1] / s[0] >= 100 * SPAN_RANK_TOL
 
 
 class TestDefectStructure:
@@ -488,6 +572,11 @@ class TestSelfAdjoint:
             expected = element_norm(k) <= 1e-8
             assert is_self_adjoint_lumer(x, one) == expected
             assert is_self_adjoint_states(x, one) == expected
+
+    def test_lumer_huge_norm(self):
+        # ||x||^2 = 1e400 is beyond float range; the bound never forms it
+        m3 = AlgebraShape((3,))
+        assert is_self_adjoint_lumer(1e200 * unit(m3), unit(m3)) is True
 
     def test_requires_identity_unit(self):
         with pytest.raises(PreconditionError):

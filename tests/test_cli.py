@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import diag_element
-from opgeo import documents
+from opgeo import cli, documents
 from opgeo.algebra import AlgebraShape, Element, element_norm
 from opgeo.classify import construct_witness
 from opgeo.cli import main
 from opgeo.generators import gen_invertible
+from opgeo.harness import MAX_BLOCK_DIM
 
 
 def write_doc(tmp_path, name, doc):
@@ -291,6 +292,16 @@ class TestHarness:
         assert code == 2
         assert out == ""
         assert "cannot draw at shape M1" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("shape", ["M100000", "M10000000000"])
+    def test_block_above_desk_scale_exits_2(self, monkeypatch, shape):
+        def run_suite(cfg):
+            raise AssertionError("a suite ran: its generators allocate every block")
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        code, out, err = run_cli("harness", "--shapes", shape, "--suites", "T4", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: shape {shape} has a block above dimension {MAX_BLOCK_DIM}\n"
 
     @pytest.mark.parametrize(
         "tol", ["equality=-1", "classification=nan", "classification=1e-9", "decomposition=1e-10"]

@@ -7,6 +7,7 @@ from opgeo.algebra import AlgebraShape
 from opgeo.harness import (
     ALL_SUITES,
     DEFAULT_SHAPES,
+    MAX_BLOCK_DIM,
     SUITE_IDS,
     TrialConfig,
     _trial_rng,
@@ -32,6 +33,11 @@ class TestConfig:
     def test_rejects_undrawable_shape(self, suite, dims):
         with pytest.raises(ValueError, match="cannot draw"):
             TrialConfig(suites=(suite,), shapes=(AlgebraShape(dims),))
+
+    def test_block_dimension_bound(self):
+        TrialConfig(shapes=(AlgebraShape((2, MAX_BLOCK_DIM)),))
+        with pytest.raises(ValueError, match=f"above dimension {MAX_BLOCK_DIM}"):
+            TrialConfig(shapes=(AlgebraShape((2,)), AlgebraShape((MAX_BLOCK_DIM + 1,))))
 
     def test_accepts_m1_where_drawable(self):
         cfg = TrialConfig(trials=2, suites=("T1F", "T2P", "ADJ"), shapes=(AlgebraShape((1, 1)),))

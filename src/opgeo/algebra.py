@@ -10,6 +10,7 @@ element x is parameterized exactly through the block SVD frames of x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,18 @@ class Element:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", _check_blocks(self.shape, self.blocks))
+
+    @cached_property
+    def svds(self) -> tuple[linalg.SVDResult, ...]:
+        """Block SVDs W diag(sigma) V*, taken once per element: the spectral
+        snapshot the classifiers read x's norm and frames from.  Caching is
+        sound because `_check_blocks` makes every block read-only."""
+        return tuple(linalg.svd(b) for b in self.blocks)
+
+    @property
+    def norm(self) -> float:
+        """Direct-sum operator norm ||x|| = max_i sigma_max(x_i), from `svds`."""
+        return max(float(r.singular_values[0]) for r in self.svds)
 
     @classmethod
     def from_blocks(cls, blocks) -> "Element":
@@ -146,7 +159,8 @@ class Functional:
 
 
 def element_norm(x: Element) -> float:
-    """Direct-sum operator norm: max over blocks."""
+    """Direct-sum operator norm from the singular values alone, for
+    temporaries and independent re-checks (x.norm reads x's snapshot)."""
     return max(linalg.operator_norm(b) for b in x.blocks)
 
 
@@ -163,35 +177,27 @@ def evaluate(f: Functional, x: Element) -> complex:
 
 
 @dataclass(frozen=True)
-class BlockFrame:
-    """SVD frame data for one block of a norming-set description."""
-
-    active: bool
-    left: np.ndarray | None = None      # W_i
-    right: np.ndarray | None = None     # V_i
-    unit_indices: tuple[int, ...] = ()  # J_i: singular values at one
-
-
-@dataclass(frozen=True)
 class NormingSetDescription:
     """Exact parameterization of the norming functionals of a norm-one element.
 
     Members are exactly the functionals with densities a_i = V_i c_i W_i*
-    where c_i is PSD, supported on the sigma = 1 singular subspace J_i, the
-    traces sum to one across blocks, and a_i = 0 on inactive blocks.
+    where W_i, V_i are the SVD frames of block i in base.svds, c_i is PSD,
+    supported on the sigma = 1 singular subspace J_i = unit_indices[i], the
+    traces sum to one across blocks, and a_i = 0 on inactive blocks, those
+    with J_i empty.
     """
 
     base: Element
-    frames: tuple[BlockFrame, ...]
+    unit_indices: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...] = field(default=())
 
     @property
     def span_dim(self) -> int:
-        return sum(len(fr.unit_indices) ** 2 for fr in self.frames if fr.active)
+        return sum(len(j) ** 2 for j in self.unit_indices)
 
     @property
     def active_blocks(self) -> tuple[int, ...]:
-        return tuple(i for i, fr in enumerate(self.frames) if fr.active)
+        return tuple(i for i, j in enumerate(self.unit_indices) if j)
 
 
 def norming_set(x: Element, tol: float = ACTIVE_THRESHOLD) -> NormingSetDescription:
@@ -203,13 +209,12 @@ def norming_set(x: Element, tol: float = ACTIVE_THRESHOLD) -> NormingSetDescript
     values in the borderline band [1 - 1e-4, 1 - tol) are surfaced as
     warnings because the span dimension is discontinuous there.
     """
-    nrm = element_norm(x)
+    nrm = x.norm
     if abs(nrm - 1.0) > tol:
         raise PreconditionError(f"norming_set requires ||x|| = 1, got {nrm!r}")
-    frames = []
+    unit_indices = []
     warnings = []
-    for i, b in enumerate(x.blocks):
-        res = linalg.svd(b)
+    for i, res in enumerate(x.svds):
         s = res.singular_values
         borderline = np.where((s >= 1.0 - BORDERLINE_THRESHOLD) & (s < 1.0 - tol))[0]
         if borderline.size:
@@ -217,14 +222,8 @@ def norming_set(x: Element, tol: float = ACTIVE_THRESHOLD) -> NormingSetDescript
                 f"block {i}: singular values {s[borderline].tolist()} are within "
                 f"[1-{BORDERLINE_THRESHOLD:.0e}, 1-{tol:.0e}) of the activity cliff"
             )
-        if s.size and s[0] >= 1.0 - tol:
-            unit = tuple(int(j) for j in np.where(s >= 1.0 - tol)[0])
-            frames.append(
-                BlockFrame(active=True, left=res.left, right=res.right, unit_indices=unit)
-            )
-        else:
-            frames.append(BlockFrame(active=False))
-    return NormingSetDescription(base=x, frames=tuple(frames), warnings=tuple(warnings))
+        unit_indices.append(tuple(int(j) for j in np.where(s >= 1.0 - tol)[0]))
+    return NormingSetDescription(x, tuple(unit_indices), tuple(warnings))
 
 
 def sample_norming_functional(desc: NormingSetDescription, rng: np.random.Generator) -> Functional:
@@ -239,22 +238,18 @@ def sample_norming_functional(desc: NormingSetDescription, rng: np.random.Genera
     raw = {}
     total = 0.0
     for i in desc.active_blocks:
-        fr = desc.frames[i]
-        k = len(fr.unit_indices)
+        k = len(desc.unit_indices[i])
         g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         h = g @ g.conj().T
         raw[i] = h
         total += float(np.trace(h).real)
     densities = []
-    for i, fr in enumerate(desc.frames):
-        d = desc.base.shape.block_dims[i]
-        if not fr.active:
-            densities.append(np.zeros((d, d), dtype=np.complex128))
-            continue
-        c = np.zeros((d, d), dtype=np.complex128)
-        idx = np.asarray(fr.unit_indices)
-        c[np.ix_(idx, idx)] = raw[i] / total
-        densities.append(fr.right @ c @ fr.left.conj().T)
+    for i, (idx, res) in enumerate(zip(desc.unit_indices, desc.base.svds)):
+        c = np.zeros(res.left.shape, dtype=np.complex128)
+        if idx:
+            c[np.ix_(idx, idx)] = raw[i] / total
+            c = res.right @ c @ res.left.conj().T
+        densities.append(c)
     return Functional(desc.base.shape, tuple(densities))
 
 

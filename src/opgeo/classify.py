@@ -25,7 +25,6 @@ from opgeo.algebra import (
     evaluate,
     min_real_over_norming,
     norming_set,
-    numeric_span_rank,
     sample_norming_functional,
 )
 from opgeo.errors import (
@@ -66,8 +65,6 @@ _NEGLIGIBLE = 1e-12
 _PHI_GRID = np.linspace(1e-4, 1.0 - 1e-4, 2001)
 #: a defect corner of smaller norm gives no direction to test
 _DEFECT_FLOOR = 1e-8
-#: norming functionals drawn beyond span_dim for the span-rank cross-check
-_SPAN_OVERSAMPLING = 10
 #: the scales alpha of the Lumer criterion
 LUMER_ALPHAS = (1e-2, 1e-3, 1e-4)
 
@@ -157,8 +154,8 @@ class Verdict:
 
 def norm_one_gate(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, str | None]:
     """(||x||, None) when ||x|| = 1 within tol.classification, else
-    (||x||, why not).  The zero element raises DegenerateInputError."""
-    nrm = element_norm(x)
+    (||x||, why not); ||x|| is x.norm.  The zero element raises DegenerateInputError."""
+    nrm = x.norm
     if nrm <= _NEGLIGIBLE:
         raise DegenerateInputError("the zero element has no norm-one classification")
     if abs(nrm - 1.0) > tol.classification:
@@ -194,8 +191,8 @@ def construct_witness(
     None if no singular value of x/||x|| lies in [gap, 1 - gap].
 
     |x| is the left absolute value (xx*)^(1/2) per block, so from the block
-    SVDs x = W diag(sigma) V*, y = W diag(phi(sigma/||x||) sigma) V*.  The
-    spectral point maximizes phi(s) * s among admissible s = sigma/||x||,
+    SVDs x = W diag(sigma) V* in x.svds, y = W diag(phi(sigma/||x||) sigma) V*.
+    The spectral point maximizes phi(s) * s among admissible s = sigma/||x||,
     which drives the margin at b = ||x||/||y||.  A witness that fails the
     rule of `verify_witness` at `tol` raises PreconditionError.
     """
@@ -203,20 +200,16 @@ def construct_witness(
     if off:
         raise PreconditionError(f"operation {off}")
     phi = cfg.witness_function
-    admissible = [
-        float(s)
-        for b in x.blocks
-        for s in linalg.singular_values(b) / nrm
-        if cfg.gap <= s <= 1.0 - cfg.gap
-    ]
+    ratios = [r.singular_values / nrm for r in x.svds]
+    admissible = [float(s) for rs in ratios for s in rs if cfg.gap <= s <= 1.0 - cfg.gap]
     if not admissible:
         return None
     t = max(admissible, key=lambda s: phi(s) * s)
 
     y_blocks = []
-    for w, sigma, vh in map(np.linalg.svd, x.blocks):
-        scaled = np.array([phi(float(s)) for s in sigma / nrm]) * sigma
-        y_blocks.append((w * scaled) @ vh)
+    for r, rs in zip(x.svds, ratios):
+        scaled = np.array([phi(float(s)) for s in rs]) * r.singular_values
+        y_blocks.append((r.left * scaled) @ r.right.conj().T)
     y = Element(x.shape, tuple(y_blocks))
     witness, verified, deviation = _measure_witness(x, nrm, y, nrm / element_norm(y), t, tol)
     if not verified:
@@ -243,7 +236,8 @@ def verify_witness(
 ) -> tuple[bool, float, float]:
     """(verified, margin, deviation) of w re-measured on x, by the rule that
     `construct_witness` applies: deviation = max | ||x +/- y|| - ||x|| | is at
-    most tol.equality and margin = ||x + by|| - ||x|| is positive.
+    most tol.equality and margin = ||x + by|| - ||x|| is positive.  ||x||
+    is measured afresh, not read from x's snapshot.
 
     A witness whose y lives in another algebra raises ShapeMismatchError.
     """
@@ -459,19 +453,15 @@ def is_extreme_point(
     """Extreme points of the unit ball: no symmetric perturbation survives.
 
     Algebraic route: partial isometry with a full support on one side in
-    every block (forces unitary blocks here).  Geometric route: no witness
-    and every sampled nonzero defect direction fails the X1 test.
+    every block (forces unitary blocks here): ||1 - bb*|| = ||1 - b*b|| =
+    max_i |1 - sigma_i^2| from x.svds.  Geometric route: no witness and
+    every sampled nonzero defect direction fails the X1 test.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     pi = is_partial_isometry_algebraic(x, tol=tol)
-    full_support = True
-    for b in x.blocks:
-        d = b.shape[0]
-        left = linalg.operator_norm(np.eye(d) - b @ b.conj().T)
-        right = linalg.operator_norm(np.eye(d) - b.conj().T @ b)
-        if min(left, right) > tol.classification:
-            full_support = False
-            break
+    full_support = all(
+        float(np.max(np.abs(1.0 - r.singular_values**2))) <= tol.classification for r in x.svds
+    )
     algebraic = pi and full_support
 
     witness = construct_witness(x, cfg, tol=tol)
@@ -504,39 +494,40 @@ def is_unitary_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) ->
     )
 
 
-def is_unitary_geometric(
-    x: Element,
-    rng: np.random.Generator | None = None,
-    rank_check: bool = True,
-    *, tol: Tolerances = DEFAULT_TOLERANCES,
-) -> Verdict:
+def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Geometric route: the norming set spans the full dual.
 
     The span dimension is read off the exact parameterization, and the
-    verdict rests on it.  A sampled numeric span rank cross-checks it:
-    span_dim + _SPAN_OVERSAMPLING random norming functionals, whose stack
-    has rank span_dim with high probability (Gaussian oversampling by
-    p ~ 10 suffices; Halko, Martinsson and Tropp, SIAM Review 53, 2011).
-    Elements of norm != 1 have an empty norming set in this sense and are
-    geometrically non-unitary.
+    verdict rests on it.  The frames certify it: on an active block with
+    unit singular frames W_J, V_J (k = |J|), the k^2 pure states v v* of
+    `_state_vectors(k)` give norming functionals V_J v v* W_J*, of value
+    f_v(x) = v* (W_J* x V_J) v = 1, spanning k^2 dimensions because
+    `_hermitian_from_states` inverts the state table.  The evidence reports
+    max |f_v(x) - 1| and the frame deviations ||W_J* W_J - 1||,
+    ||V_J* V_J - 1||.  Elements of norm != 1 have an empty norming set in
+    this sense and are geometrically non-unitary.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     algebraic = is_unitary_algebraic(x, tol=tol)
     dual_dim = x.shape.dual_dimension
     evidence: dict = {"dual_dimension": dual_dim}
-    nrm = element_norm(x)
+    nrm = x.norm
     if abs(nrm - 1.0) > tol.classification:
         evidence["reason"] = f"norm {nrm!r} is not 1; norming set empty"
         return Verdict("unitary", algebraic, False, evidence, tol.as_dict())
     desc = norming_set(x, tol.classification)
     evidence["span_dim"] = desc.span_dim
     evidence["warnings"] = list(desc.warnings)
-    if rank_check and desc.active_blocks:
-        samples = [
-            sample_norming_functional(desc, rng)
-            for _ in range(max(desc.span_dim, 1) + _SPAN_OVERSAMPLING)
-        ]
-        evidence["numeric_span_rank"] = numeric_span_rank(samples)
+    value_dev = left_dev = right_dev = 0.0
+    for i in desc.active_blocks:
+        j, r = list(desc.unit_indices[i]), x.svds[i]
+        w, v, one = r.left[:, j], r.right[:, j], np.eye(len(j))
+        values = _state_values(w.conj().T @ x.blocks[i] @ v, _state_vectors(len(j)))
+        value_dev = max(value_dev, float(np.max(np.abs(values - 1.0))))
+        left_dev = max(left_dev, linalg.operator_norm(w.conj().T @ w - one))
+        right_dev = max(right_dev, linalg.operator_norm(v.conj().T @ v - one))
+    evidence["norming_value_deviation"] = value_dev
+    evidence["left_frame_deviation"] = left_dev
+    evidence["right_frame_deviation"] = right_dev
     geometric = desc.span_dim == dual_dim
     return Verdict("unitary", algebraic, geometric, evidence, tol.as_dict())
 
@@ -604,20 +595,20 @@ def defect_norm_identity(
 
 
 def element_min_singular_value(x: Element) -> float:
-    return min(float(linalg.singular_values(b)[-1]) for b in x.blocks)
+    """Smallest singular value over the blocks, from x's snapshot."""
+    return min(float(r.singular_values[-1]) for r in x.svds)
 
 
 def invertibility_certificate(
     x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> InvertibilityCertificate | None:
     """Certificate (u, epsilon) with u the left-polar unitary and epsilon the
-    smallest singular value; None when sigma_min <= tol.classification.  One
-    SVD per block b = W diag(sigma) V* gives both: u = W V* = polar(b)."""
-    svds = [np.linalg.svd(b) for b in x.blocks]
-    sigma_min = min(float(s[-1]) for _, s, _ in svds)
+    smallest singular value; None when sigma_min <= tol.classification.  The
+    SVD b = W diag(sigma) V* in x.svds gives both: u = W V* = polar(b)."""
+    sigma_min = element_min_singular_value(x)
     if sigma_min <= tol.classification:
         return None
-    u_blocks = [w @ vh for w, _, vh in svds]
+    u_blocks = [r.left @ r.right.conj().T for r in x.svds]
     return InvertibilityCertificate(
         u=Element(x.shape, tuple(u_blocks)), epsilon=sigma_min
     )
@@ -679,20 +670,23 @@ def is_self_adjoint_lumer(
     factor: float = 10.0,
     *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
-    """Lumer criterion: ||1 + i alpha x|| = 1 + o(alpha).
+    """Lumer criterion: ||1 + i alpha x|| = 1 + o(alpha) as alpha -> 0
+    relative to ||x||.
 
-    For each scale the two signed slopes must decay linearly:
-    max |d(+/-alpha)| <= factor * alpha * max(1, ||x||)^2, compared as
-    max |d| / max(1, ||x||) <= factor * alpha * max(1, ||x||) so that no
-    square of ||x|| overflows.
+    Slopes are taken at the scales alpha / s, s = max(1, ||x||), and must
+    decay linearly: max |d(+/-alpha/s)| <= factor * (alpha/s) * s^2,
+    compared as max |d| / s <= factor * alpha so that no square of ||x||
+    overflows.  An x whose norm overflows raises OverflowError.
     """
-    slopes = lumer_slopes(x, unit, alphas, tol=tol)
-    scale = max(1.0, element_norm(x))
-    for a in alphas:
-        worst = max(abs(slopes[a]), abs(slopes[-a]))
-        if worst / scale > factor * a * scale:
-            return False
-    return True
+    scale = max(1.0, x.norm)
+    if not np.isfinite(scale):
+        raise OverflowError("the norm of x overflows")
+    scaled = tuple(a / scale for a in alphas)
+    slopes = lumer_slopes(x, unit, scaled, tol=tol)
+    return all(
+        max(abs(slopes[s]), abs(slopes[-s])) / scale <= factor * a
+        for a, s in zip(alphas, scaled)
+    )
 
 
 def _state_vectors(n: int) -> np.ndarray:
@@ -795,7 +789,7 @@ def is_positive(
     state_route = min_re >= -tol.equality and max_im <= tol.equality
 
     # norm route: real on the spanning states, as in is_self_adjoint_states
-    nrm = element_norm(x)
+    nrm = x.norm
     shift_ok = element_norm(nrm * unit - x) <= nrm + tol.equality
     norm_route = spanning_max_im <= tol.equality and shift_ok
 

@@ -93,7 +93,7 @@ def _self_adjoint_verdict(x: Element, unit: Element, tol: Tolerances) -> Verdict
 
 def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
     cert = invertibility_certificate(x, tol=tol)
-    sigma_min = cert.epsilon if cert is not None else element_min_singular_value(x)
+    sigma_min = element_min_singular_value(x)
     algebraic = sigma_min > tol.classification
     geometric = cert is not None and verify_certificate(x, cert, tol=tol)
     evidence = {"sigma_min": sigma_min}
@@ -105,16 +105,14 @@ def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
 def cmd_classify(args) -> int:
     x, doc, raw = documents.load_element(args.input)
     tol = args.tolerances
-    rng = np.random.default_rng(0)
     _, off = norm_one_gate(x, tol=tol)
+    # each route draws from its own default stream: its evidence depends on x alone
 
     verdicts = []
     if off is None:
-        verdicts.append(
-            documents.verdict_to_doc(is_partial_isometry_geometric(x, rng=rng, tol=tol))
-        )
-        verdicts.append(documents.verdict_to_doc(is_unitary_geometric(x, rng=rng, tol=tol)))
-        verdicts.append(documents.verdict_to_doc(is_extreme_point(x, rng=rng, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(is_partial_isometry_geometric(x, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(is_unitary_geometric(x, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(is_extreme_point(x, tol=tol)))
     else:
         for name in ("partial_isometry", "unitary", "extreme_point"):
             verdicts.append(documents.not_applicable_doc(name, off))
@@ -123,8 +121,8 @@ def cmd_classify(args) -> int:
     if _unit_requested(args, doc):
         unit = Element.identity(x.shape)
         verdicts.append(documents.verdict_to_doc(_self_adjoint_verdict(x, unit, tol)))
-        verdicts.append(documents.verdict_to_doc(is_positive(x, unit, rng=rng, tol=tol)))
-        verdicts.append(documents.verdict_to_doc(is_projection(x, unit, rng=rng, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(is_positive(x, unit, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(is_projection(x, unit, tol=tol)))
 
     report = {
         "tool": "opgeo",

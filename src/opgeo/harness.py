@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from opgeo import classify
+from opgeo import algebra, classify
 from opgeo.algebra import AlgebraShape, Element, element_norm, min_real_over_norming
 from opgeo.classify import (
     DEFAULT_TOLERANCES,
@@ -86,6 +86,9 @@ MAX_BLOCK_DIM = 64
 _IDENTITY_BOUND = 1e-9
 #: a drawn non-projection partial isometry is redrawn until ||x - x*|| exceeds this
 _MIN_SKEW = 1e-3
+#: norming functionals T2 samples beyond span_dim, whose stack then has rank
+#: span_dim with high probability (Halko, Martinsson and Tropp, SIAM Rev. 2011)
+_SPAN_OVERSAMPLING = 10
 
 
 def _undrawable(suite: str, shape: AlgebraShape) -> str | None:
@@ -247,9 +250,12 @@ def _trial_t2(shape, rng, tol: Tolerances):
     else:
         x = gen_norm_one_non_pi(shape, rng)
         expect_full = False
-    v = is_unitary_geometric(x, rng=rng, tol=tol)
-    span = v.evidence.get("span_dim", 0)
-    rank = v.evidence.get("numeric_span_rank", span)
+    v = is_unitary_geometric(x, tol=tol)
+    span = v.evidence["span_dim"]  # >= 1: x has norm one
+    desc = algebra.norming_set(x, tol.classification)
+    rank = algebra.numeric_span_rank(
+        [algebra.sample_norming_functional(desc, rng) for _ in range(span + _SPAN_OVERSAMPLING)]
+    )
     dev = float(abs(rank - span))
     ok = (
         v.agreement
@@ -290,8 +296,7 @@ def _trial_t4(shape, rng, tol: Tolerances):
     cert = invertibility_certificate(x, tol=tol)
     if cert is not None:
         return False, float("inf")
-    u_blocks = [w @ vh for w, _, vh in map(np.linalg.svd, x.blocks)]
-    u = Element(x.shape, tuple(u_blocks))
+    u = Element(x.shape, tuple(r.left @ r.right.conj().T for r in x.svds))
     res = min_real_over_norming(u, x, unitary_tol=tol.equality)
     dev = abs(min(res.value, 0.0))
     return res.value <= tol.classification, dev

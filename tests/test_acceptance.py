@@ -5,9 +5,11 @@ gate is legible in any pytest capture mode.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,15 +371,21 @@ def test_criterion_8_brute_force_norming_face(report):
 
 
 def test_criterion_9_cli_end_to_end(tmp_path, report):
+    import opgeo
+    from opgeo import documents
+
+    # the child runs the opgeo under test, also when it is not installed
+    paths = [str(Path(opgeo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
     def cli(*argv, stdin=None):
         return subprocess.run(
             [sys.executable, "-m", "opgeo.cli", *argv],
             capture_output=True,
             text=True,
             input=stdin,
+            env=env,
         )
-
-    from opgeo import documents
 
     id3 = tmp_path / "id3.json"
     id3.write_text(

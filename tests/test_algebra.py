@@ -47,6 +47,16 @@ class TestShapesAndElements:
         with pytest.raises(ValueError):
             x.blocks[0][0, 0] = 5.0
 
+    def test_svd_snapshot(self, rng):
+        x = Element.from_blocks([random_complex(2, rng), random_complex(3, rng)])
+        first = x.svds
+        assert x.svds is first  # decomposed once, then read
+        for r, b in zip(first, x.blocks):
+            np.testing.assert_allclose(r.reconstruct(), b, atol=1e-13)
+        assert x.norm == max(float(r.singular_values[0]) for r in first)
+        assert x.norm == pytest.approx(element_norm(x), rel=1e-14)
+        assert (2.0 * x).norm == pytest.approx(2.0 * x.norm, rel=1e-14)
+
 
 class TestPairing:
     def test_normalized_trace_of_unit(self):
@@ -92,12 +102,12 @@ class TestNormingSet:
         desc = norming_set(Element.identity(AlgebraShape((3,))))
         assert desc.span_dim == 9
         assert desc.active_blocks == (0,)
-        assert desc.frames[0].unit_indices == (0, 1, 2)
+        assert desc.unit_indices == ((0, 1, 2),)
 
     def test_diagonal_point_mass(self):
         desc = norming_set(diag_element([1.0, 0.5]))
         assert desc.span_dim == 1
-        assert desc.frames[0].unit_indices == (0,)
+        assert desc.unit_indices == ((0,),)
 
     def test_direct_sum_inactive_block(self, rng):
         shape = AlgebraShape((2, 3))

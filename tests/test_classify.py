@@ -9,7 +9,16 @@ import pytest
 
 from conftest import diag_element, random_complex, random_hermitian
 from opgeo import classify, documents, linalg
-from opgeo.algebra import SPAN_RANK_TOL, AlgebraShape, Element, element_norm
+from opgeo.algebra import (
+    AlgebraShape,
+    Element,
+    Functional,
+    element_norm,
+    evaluate,
+    functional_norm,
+    norming_set,
+    numeric_span_rank,
+)
 from opgeo.classify import (
     DEFAULT_TOLERANCES,
     DEFAULT_WITNESS_CONFIG,
@@ -49,10 +58,12 @@ from opgeo.errors import (
     ShapeMismatchError,
 )
 from opgeo.generators import (
+    gen_ginibre,
     gen_hermitian,
     gen_invertible,
     gen_norm_one_non_pi,
     gen_partial_isometry,
+    gen_positive,
     gen_unitary,
     random_ranks,
 )
@@ -321,7 +332,44 @@ class TestX1Member:
         calls = _count_linalg(monkeypatch, "svd", "norm", "eigh", "eigvalsh", "lstsq")
         with redirect_stdout(io.StringIO()):
             assert main(["classify", str(path), "--unit"]) == 0
-        assert sum(calls.values()) <= 250
+        assert sum(calls.values()) <= 98
+
+
+def _small_ops_mix(shape: AlgebraShape, rng: np.random.Generator) -> dict:
+    """One draw of each class of the benchmark's small_ops mix."""
+    low = tuple(max(1, n // 2) for n in shape.block_dims)
+    w = gen_partial_isometry(shape, tuple(n - 1 for n in shape.block_dims), rng)
+    return {
+        "pi": gen_partial_isometry(shape, low, rng),
+        "unitary": gen_unitary(shape, rng),
+        "projection": w @ w.H,
+        "nonpi": gen_norm_one_non_pi(shape, rng),
+        "ginibre": gen_ginibre(shape, rng),
+        "positive": gen_positive(shape, rng),
+    }
+
+
+class TestSpectralSnapshot:
+    @pytest.mark.parametrize("cls", ["pi", "unitary", "projection", "nonpi", "ginibre", "positive"])
+    @pytest.mark.parametrize("dims", [(6,), (2, 3)], ids=["M6", "M2+M3"])
+    def test_classify_decomposes_each_block_once(self, tmp_path, monkeypatch, dims, cls):
+        x = _small_ops_mix(AlgebraShape(dims), np.random.default_rng(sum(dims)))[cls]
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(documents.element_to_doc(x)))
+        per_block = [0] * len(x.blocks)
+        for name in ("svd", "norm"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                for i, b in enumerate(x.blocks):
+                    if np.shape(a) == b.shape and np.array_equal(a, b):
+                        per_block[i] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        with redirect_stdout(io.StringIO()):
+            assert main(["classify", str(path), "--unit"]) == 0
+        assert per_block == [1] * len(x.blocks)
 
 
 def seed_x2_deviation(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> float:
@@ -405,53 +453,79 @@ class TestUnitary:
 
     def test_geometric_full_span(self, rng):
         u = gen_unitary(M2_M3, rng)
-        v = is_unitary_geometric(u, rng=rng)
+        v = is_unitary_geometric(u)
         assert v.algebraic and v.geometric
         assert v.evidence["span_dim"] == 13
-        assert v.evidence["numeric_span_rank"] == 13
+        assert "numeric_span_rank" not in v.evidence
+        for key in SPAN_EVIDENCE:
+            assert 0.0 <= v.evidence[key] <= 1e-13
 
     def test_geometric_deficient_span(self, rng):
-        v = is_unitary_geometric(diag_element([1.0, 0.5]), rng=rng)
+        v = is_unitary_geometric(diag_element([1.0, 0.5]))
         assert not v.algebraic and not v.geometric
         assert v.evidence["span_dim"] == 1
+        for key in SPAN_EVIDENCE:
+            assert 0.0 <= v.evidence[key] <= 1e-13
 
     def test_geometric_wrong_norm(self, rng):
-        v = is_unitary_geometric(diag_element([2.0, 2.0]), rng=rng)
+        v = is_unitary_geometric(diag_element([2.0, 2.0]))
         assert not v.geometric
         assert "reason" in v.evidence
 
 
-class TestSpanCrossCheck:
-    """span_dim + 10 sampled norming functionals recover the rank span_dim."""
+SPAN_EVIDENCE = ("norming_value_deviation", "left_frame_deviation", "right_frame_deviation")
+
+
+class TestSpanConstruction:
+    """The norming span certified from the frames of x's snapshot: k^2 pure
+    states per active block give k^2 norming functionals spanning span_dim."""
 
     @pytest.mark.parametrize(
-        "make",
+        "make, span",
         [
-            lambda rng: gen_unitary(M2, rng),
-            lambda rng: gen_unitary(M2_M3, rng),
-            lambda rng: gen_unitary(AlgebraShape((8,)), rng),
-            lambda rng: gen_unitary(AlgebraShape((16,)), rng),
-            lambda rng: gen_partial_isometry(AlgebraShape((8,)), (5,), rng),
+            (lambda rng: gen_unitary(M2, rng), 4),
+            (lambda rng: gen_unitary(M2_M3, rng), 13),
+            (lambda rng: gen_unitary(AlgebraShape((8,)), rng), 64),
+            (lambda rng: gen_unitary(AlgebraShape((16,)), rng), 256),
+            (lambda rng: gen_partial_isometry(AlgebraShape((8,)), (5,), rng), 25),
         ],
         ids=["M2", "M2+M3", "M8", "M16", "M8-PI"],
     )
-    def test_oversampled_rank(self, monkeypatch, make):
-        rng = np.random.default_rng(16)
-        x = make(rng)
-        stacks = []
-        original = classify.numeric_span_rank
+    def test_constructed_evidence(self, monkeypatch, make, span):
+        x = make(np.random.default_rng(16))
+        sizes = []
+        for name in ("svd", "norm"):
+            original = getattr(np.linalg, name)
 
-        def counted(fs, *args, **kwargs):
-            stacks.append(np.stack([f.vectorize() for f in fs]))
-            return original(fs, *args, **kwargs)
+            def sized(a, *args, _original=original, **kwargs):
+                sizes.append(np.size(a))
+                return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(classify, "numeric_span_rank", counted)
-        v = is_unitary_geometric(x, rng=rng)
-        span = v.evidence["span_dim"]
-        assert [len(m) for m in stacks] == [span + 10]
-        assert v.evidence["numeric_span_rank"] == span
-        s = np.linalg.svd(stacks[0], compute_uv=False)
-        assert s[span - 1] / s[0] >= 100 * SPAN_RANK_TOL
+            monkeypatch.setattr(np.linalg, name, sized)
+        v = is_unitary_geometric(x)
+        monkeypatch.undo()
+        assert v.evidence["span_dim"] == span
+        assert "numeric_span_rank" not in v.evidence
+        for key in SPAN_EVIDENCE:
+            assert 0.0 <= v.evidence[key] <= 1e-13
+        # no sampled stack: every decomposition is of one block-sized matrix
+        assert max(sizes) <= max(x.shape.block_dims) ** 2
+
+        # the construction the evidence stands for, built out explicitly
+        desc = norming_set(x)
+        fs = []
+        for i in desc.active_blocks:
+            j = list(desc.unit_indices[i])
+            w, v_ = x.svds[i].left[:, j], x.svds[i].right[:, j]
+            for vec in classify._state_vectors(len(j)).T:
+                densities = [np.zeros((d, d), dtype=np.complex128) for d in x.shape.block_dims]
+                densities[i] = v_ @ np.outer(vec, vec.conj()) @ w.conj().T
+                fs.append(Functional(x.shape, tuple(densities)))
+        assert len(fs) == span
+        for f in fs:
+            assert abs(evaluate(f, x) - 1.0) <= 1e-12
+            assert functional_norm(f) == pytest.approx(1.0, abs=1e-12)
+        assert numeric_span_rank(fs) == span
 
 
 class TestDefectStructure:
@@ -523,7 +597,8 @@ class TestInvertibility:
 
 class TestInvertibleVerdict:
     def test_one_svd_per_block(self, monkeypatch):
-        x = gen_invertible(M2_M3, np.random.default_rng(5))
+        drawn = gen_invertible(M2_M3, np.random.default_rng(5))
+        x = Element(drawn.shape, drawn.blocks)  # not yet decomposed
         calls = _count_linalg(monkeypatch, "svd")
         v = _invertible_verdict(x, DEFAULT_TOLERANCES)
         assert v.algebraic and v.geometric
@@ -572,6 +647,15 @@ class TestSelfAdjoint:
             expected = element_norm(k) <= 1e-8
             assert is_self_adjoint_lumer(x, one) == expected
             assert is_self_adjoint_states(x, one) == expected
+
+    @pytest.mark.parametrize("c", [1.0, 20.0, 1e3, 1e4, 1e6])
+    def test_lumer_skew_at_any_scale(self, c):
+        # slopes of c*i*1 are c in size; at absolute scales alpha they sat
+        # under 10 * alpha * c^2 from c = 1e4 on
+        one = unit(M2)
+        x = (c * 1j) * one
+        assert is_self_adjoint_lumer(x, one) is False
+        assert is_self_adjoint_states(x, one) is False
 
     def test_lumer_huge_norm(self):
         # ||x||^2 = 1e400 is beyond float range; the bound never forms it
@@ -729,8 +813,8 @@ class TestTolerancePolicy:
         # tolerance, inside 1e-3
         x = Element.from_blocks([np.diag(diagonal) + 1e-4 * perturbation])
         args = (x, Element.identity(x.shape)) if needs_unit else (x,)
-        strict = route(*args, rng=np.random.default_rng(0))
-        loose = route(*args, rng=np.random.default_rng(0), tol=LOOSE)
+        strict = route(*args)
+        loose = route(*args, tol=LOOSE)
         assert strict.tolerances == DEFAULT_TOLERANCES.as_dict()
         assert loose.tolerances == LOOSE.as_dict()
         assert (strict.algebraic, loose.algebraic) == (False, True)

@@ -8,9 +8,9 @@ import pytest
 from conftest import diag_element
 from opgeo import cli, documents
 from opgeo.algebra import AlgebraShape, Element, element_norm
-from opgeo.classify import construct_witness
+from opgeo.classify import construct_witness, is_positive
 from opgeo.cli import main
-from opgeo.generators import gen_invertible
+from opgeo.generators import gen_invertible, gen_norm_one_non_pi
 from opgeo.harness import MAX_BLOCK_DIM
 
 
@@ -149,6 +149,17 @@ class TestClassify:
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["verified"] is True
+
+    def test_route_evidence_depends_on_x_alone(self, tmp_path):
+        # a norm-one non-Hermitian input: the routes before `positive` run
+        # and draw, and its random states must not see those draws
+        x = gen_norm_one_non_pi(AlgebraShape((4,)), np.random.default_rng(0))
+        path = write_doc(tmp_path, "x.json", documents.element_to_doc(x))
+        code, out, _ = run_cli("classify", path, "--unit")
+        assert code == 0
+        verdicts = {v["predicate"]: v for v in json.loads(out)["verdicts"]}
+        alone = documents.verdict_to_doc(is_positive(x, Element.identity(x.shape)))
+        assert verdicts["positive"] == json.loads(documents.dumps(alone))
 
     def test_deterministic_bytes(self, diag_half):
         first = run_cli("classify", diag_half, "--unit")

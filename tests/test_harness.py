@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from opgeo import algebra
 from opgeo.algebra import AlgebraShape
 from opgeo.harness import (
     ALL_SUITES,
@@ -102,3 +103,14 @@ class TestRunSuite:
         assert report.all_passed
         doc = report.to_dict()
         assert doc["config"]["shapes"] == ["M3"]
+
+
+class TestSpanRankCheck:
+    def test_t2_fails_when_the_sampled_rank_disagrees(self, monkeypatch):
+        cfg = TrialConfig(seed=0, trials=4, suites=("T2",))
+        assert run_suite(cfg).all_passed
+        # every sampled functional counted as independent: rank span_dim + 10
+        monkeypatch.setattr(algebra, "numeric_span_rank", len)
+        (result,) = run_suite(cfg).suites
+        assert result.passes == 0
+        assert {f["deviation"] for f in result.failures} == {10.0}

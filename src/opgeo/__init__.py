@@ -24,7 +24,6 @@ from opgeo.classify import (
     PartialIsometryWitness,
     Tolerances,
     Verdict,
-    WitnessConfig,
     construct_witness,
     defect_norm_identity,
     invertibility_certificate,
@@ -71,7 +70,6 @@ __all__ = [
     "Tolerances",
     "TrialConfig",
     "Verdict",
-    "WitnessConfig",
     "construct_witness",
     "defect_norm_identity",
     "element_norm",

@@ -3,16 +3,23 @@
 Every class of operators gets an algebraic oracle (built from products and
 adjoints) and a geometric route (built from norms and norming functionals
 only).  Non-partial-isometries are refuted by an explicit witness element;
-invertibles are certified by a unitary together with a spectral gap.  The
-membership testers for the two comparison sets of the partial-isometry
-characterization exist to exhibit the equivalence on samples; verdicts always
-rest on the exact witness / span / certificate constructions.
+invertibles are certified by a unitary together with a spectral gap; the
+unitary route reads the norming span off a construction.  Where no witness
+exists, the partial-isometry route decides by comparing the membership
+testers of its two comparison sets on sampled directions, and the
+extreme-point route by testing sampled defect directions against X1:
+diag(1, 0.9995, 0) in M3 has no witness (no singular value lies in
+[gap, 1 - gap]), and both routes say False after one direction.  The
+directions come from a fixed stream, so a verdict depends on x alone.
+
+Every public classifier takes its operands and the keyword-only `tol`;
+the witness function, the grids and the sample counts are the constants
+below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,56 +66,37 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-#: a norm, or a witness-function value, at or below this counts as zero
+#: a norm at or below this counts as zero
 _NEGLIGIBLE = 1e-12
-#: points of (0, 1) at which a witness function is validated
-_PHI_GRID = np.linspace(1e-4, 1.0 - 1e-4, 2001)
 #: a defect corner of smaller norm gives no direction to test
 _DEFECT_FLOOR = 1e-8
 #: the scales alpha of the Lumer criterion
 LUMER_ALPHAS = (1e-2, 1e-3, 1e-4)
+#: slopes may reach this multiple of their scale alpha (Lumer criterion)
+_LUMER_FACTOR = 10.0
+
+#: a singular value ratio s of x/||x|| admits a witness when s lies in
+#: [gap, 1 - gap]
+_WITNESS_GAP = 1e-3
+#: the X1 search grid: _X1_POINTS log-spaced a in [lo, hi] / ||y||
+_X1_RANGE = (1e-3, 10.0)
+_X1_POINTS = 40
+#: the 16th roots of unity, the phases of the X2 grid and of the defect audit
+_PHASES = np.exp(1j * np.pi * np.arange(16) / 8.0)
+#: the X2 grid b: 13 log-spaced radii (increasing, one row each) times _PHASES
+_B_GRID = np.logspace(-3.0, 3.0, 13)[:, None] * _PHASES[None, :]
+#: a direction belongs to X1 / X2 when its deviation is at most this
+_MEMBER_TOL = 1e-7
+#: sampled directions of the partial-isometry and extreme-point routes
+_N_DIRECTIONS = 6
+#: the t of the defect audit
+_DEFECT_T_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
 
-def default_witness_function(s: float) -> float:
-    """s(1-s): vanishes at 0 and 1, positive between, bounded by 1/s - 1."""
+def _witness_function(s):
+    """phi(s) = s(1 - s): vanishes at 0 and 1, positive between, at most
+    1/s - 1; elementwise on arrays."""
     return s * (1.0 - s)
-
-
-def _validate_witness_function(phi: Callable[[float], float]) -> None:
-    if abs(phi(0.0)) > _NEGLIGIBLE or abs(phi(1.0)) > _NEGLIGIBLE:
-        raise ValueError("witness function must vanish at 0 and 1")
-    vals = np.array([phi(float(s)) for s in _PHI_GRID])
-    if np.any(vals <= 0.0):
-        raise ValueError("witness function must be positive on (0, 1)")
-    if np.any(vals > 1.0 / _PHI_GRID - 1.0 + _NEGLIGIBLE):
-        raise ValueError("witness function must satisfy phi(s) <= 1/s - 1")
-
-
-@dataclass(frozen=True)
-class WitnessConfig:
-    """Knobs for witness construction and the X1/X2 membership testers."""
-
-    witness_function: Callable[[float], float] = default_witness_function
-    gap: float = 1e-3
-    b_radii: tuple[float, ...] = tuple(np.logspace(-3.0, 3.0, 13))
-    n_phases: int = 16
-    a_floor: float = 1e-3    # lower end of the X1 search, relative to 1/||y||
-    a_ceiling: float = 10.0  # upper end, relative to 1/||y||
-    a_grid_points: int = 40
-    member_tol: float = 1e-7
-
-    def __post_init__(self):
-        _validate_witness_function(self.witness_function)
-        if not (0.0 < self.gap < 0.5):
-            raise ValueError("gap must lie in (0, 1/2)")
-
-    def b_grid(self) -> np.ndarray:
-        """Complex grid of log-spaced radii times 16th-roots-of-unity phases."""
-        phases = np.exp(1j * np.pi * np.arange(self.n_phases) / 8.0)
-        return (np.asarray(self.b_radii)[:, None] * phases[None, :]).ravel()
-
-
-DEFAULT_WITNESS_CONFIG = WitnessConfig()
 
 
 @dataclass(frozen=True)
@@ -183,9 +171,7 @@ def is_partial_isometry_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLER
 
 
 def construct_witness(
-    x: Element,
-    cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG,
-    *, tol: Tolerances = DEFAULT_TOLERANCES,
+    x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> PartialIsometryWitness | None:
     """Build the refuting element y = phi(|x|/||x||) x for the ray of x, or
     None if no singular value of x/||x|| lies in [gap, 1 - gap].
@@ -199,16 +185,17 @@ def construct_witness(
     nrm, off = norm_one_gate(x, tol=tol)
     if off:
         raise PreconditionError(f"operation {off}")
-    phi = cfg.witness_function
     ratios = [r.singular_values / nrm for r in x.svds]
-    admissible = [float(s) for rs in ratios for s in rs if cfg.gap <= s <= 1.0 - cfg.gap]
+    admissible = [
+        float(s) for rs in ratios for s in rs if _WITNESS_GAP <= s <= 1.0 - _WITNESS_GAP
+    ]
     if not admissible:
         return None
-    t = max(admissible, key=lambda s: phi(s) * s)
+    t = max(admissible, key=lambda s: _witness_function(s) * s)
 
     y_blocks = []
     for r, rs in zip(x.svds, ratios):
-        scaled = np.array([phi(float(s)) for s in rs]) * r.singular_values
+        scaled = _witness_function(rs) * r.singular_values
         y_blocks.append((r.left * scaled) @ r.right.conj().T)
     y = Element(x.shape, tuple(y_blocks))
     witness, verified, deviation = _measure_witness(x, nrm, y, nrm / element_norm(y), t, tol)
@@ -281,12 +268,12 @@ def _convex_floor(a: np.ndarray, f: np.ndarray, lo: int, hi: int) -> float:
     return float(bound)
 
 
-def x1_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> bool:
+def x1_member(x: Element, y: Element) -> bool:
     """Tester for the symmetric-perturbation set: does some a > 0 give
     ||x + ay|| = ||x - ay|| = 1?
 
     The target is D(a) = max(| ||x+ay|| - 1 |, | ||x-ay|| - 1 |) <= member_tol
-    for some a on a log-grid over [a_floor, a_ceiling] / ||y|| or in the step
+    (1e-7) for some a on a log-grid over [1e-3, 10] / ||y|| or in the step
     bracket [grid[k-1], grid[k+1]] around the grid minimizer k.  This is a
     harness tester, not a decision procedure.  Four stages, all on the raw
     block arrays:
@@ -310,13 +297,13 @@ def x1_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFI
     if y_norm <= _NEGLIGIBLE:
         # 0 belongs to both comparison sets; admitted by continuity.
         return True
-    tol = cfg.member_tol
+    tol = _MEMBER_TOL
 
     def objective(a: float) -> float:
         plus, minus = _pm_norms(x, y, np.array([a]))
         return float(max(abs(plus[0] - 1.0), abs(minus[0] - 1.0)))
 
-    grid = np.geomspace(cfg.a_floor / y_norm, cfg.a_ceiling / y_norm, cfg.a_grid_points)
+    grid = np.geomspace(_X1_RANGE[0] / y_norm, _X1_RANGE[1] / y_norm, _X1_POINTS)
     plus, minus = _pm_norms(x, y, grid)
     vals = np.maximum(np.abs(plus - 1.0), np.abs(minus - 1.0))
     k = int(np.argmin(vals))
@@ -349,36 +336,33 @@ def x1_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFI
     return best <= tol
 
 
-def _x2_deviations(x: Element, y: Element, cfg: WitnessConfig):
+def _x2_deviations(x: Element, y: Element):
     """Yield max | ||x + by|| - max(1, ||by||) | over the b-grid chunk by
-    chunk: the n_phases points of the largest radius, then the rest."""
+    chunk: the 16 phases of the largest radius, then the other radii."""
     y_norm = element_norm(y)
     if y_norm <= _NEGLIGIBLE:
         yield abs(element_norm(x) - 1.0)
         return
-    rows = cfg.b_grid().reshape(-1, cfg.n_phases)
-    top = int(np.argmax(cfg.b_radii))
-    for bs in (rows[top], np.delete(rows, top, axis=0).ravel()):
-        if bs.size:
-            reference = np.maximum(1.0, np.abs(bs) * y_norm)
-            yield float(np.max(np.abs(_grid_norms(x, y, bs) - reference)))
+    for bs in (_B_GRID[-1], _B_GRID[:-1].ravel()):
+        reference = np.maximum(1.0, np.abs(bs) * y_norm)
+        yield float(np.max(np.abs(_grid_norms(x, y, bs) - reference)))
 
 
-def x2_deviation(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> float:
+def x2_deviation(x: Element, y: Element) -> float:
     """max over the b-grid of | ||x + by|| - max(1, ||by||) |."""
-    return max(_x2_deviations(x, y, cfg))
+    return max(_x2_deviations(x, y))
 
 
-def x2_member(x: Element, y: Element, cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> bool:
+def x2_member(x: Element, y: Element) -> bool:
     """Tester for the max-identity set: ||x + by|| = max(1, ||by||) on the grid.
 
     The grid runs in two chunks, each one stacked SVD per block: first the
-    n_phases points of the largest radius, where a direction off the set
-    shows its O(1) deviation, then the other radii.  The first chunk whose
-    deviation exceeds member_tol answers False without running the rest;
-    the answer is that of x2_deviation(x, y, cfg) <= member_tol.
+    16 phases of the largest radius, where a direction off the set shows its
+    O(1) deviation, then the other radii.  The first chunk whose deviation
+    exceeds member_tol answers False without running the rest; the answer
+    is that of x2_deviation(x, y) <= member_tol.
     """
-    return all(dev <= cfg.member_tol for dev in _x2_deviations(x, y, cfg))
+    return all(dev <= _MEMBER_TOL for dev in _x2_deviations(x, y))
 
 
 def _defect_direction(x: Element, rng: np.random.Generator) -> Element | None:
@@ -408,17 +392,14 @@ def _random_direction(x: Element, rng: np.random.Generator) -> Element:
 
 
 def is_partial_isometry_geometric(
-    x: Element,
-    cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG,
-    rng: np.random.Generator | None = None,
-    n_directions: int = 6,
-    *, tol: Tolerances = DEFAULT_TOLERANCES,
+    x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> Verdict:
     """Geometric route: no witness exists and the two comparison-set testers
-    agree on sampled directions (defect corner and random)."""
-    rng = rng if rng is not None else np.random.default_rng(0)
+    agree on sampled directions (defect corner and random, drawn from
+    default_rng(0))."""
+    rng = np.random.default_rng(0)
     algebraic = is_partial_isometry_algebraic(x, tol=tol)
-    witness = construct_witness(x, cfg, tol=tol)
+    witness = construct_witness(x, tol=tol)
     evidence: dict = {}
     if witness is not None:
         evidence["witness"] = witness
@@ -426,16 +407,16 @@ def is_partial_isometry_geometric(
     else:
         equivalent = True
         checked = 0
-        for _ in range(n_directions):
+        for _ in range(_N_DIRECTIONS):
             y = _defect_direction(x, rng)
             if y is not None:
                 checked += 1
-                if x1_member(x, y, cfg) != x2_member(x, y, cfg):
+                if x1_member(x, y) != x2_member(x, y):
                     equivalent = False
                     break
             y = _random_direction(x, rng)
             checked += 1
-            if x1_member(x, y, cfg) != x2_member(x, y, cfg):
+            if x1_member(x, y) != x2_member(x, y):
                 equivalent = False
                 break
         evidence["directions_checked"] = checked
@@ -445,9 +426,7 @@ def is_partial_isometry_geometric(
 
 def is_extreme_point(
     x: Element,
-    cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG,
     rng: np.random.Generator | None = None,
-    n_directions: int = 6,
     *, tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
     """Extreme points of the unit ball: no symmetric perturbation survives.
@@ -455,7 +434,8 @@ def is_extreme_point(
     Algebraic route: partial isometry with a full support on one side in
     every block (forces unitary blocks here): ||1 - bb*|| = ||1 - b*b|| =
     max_i |1 - sigma_i^2| from x.svds.  Geometric route: no witness and
-    every sampled nonzero defect direction fails the X1 test.
+    every sampled nonzero defect direction fails the X1 test.  The
+    directions come from rng, default_rng(0) when None.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     pi = is_partial_isometry_algebraic(x, tol=tol)
@@ -464,18 +444,18 @@ def is_extreme_point(
     )
     algebraic = pi and full_support
 
-    witness = construct_witness(x, cfg, tol=tol)
+    witness = construct_witness(x, tol=tol)
     evidence: dict = {}
     if witness is not None:
         evidence["witness"] = witness
         geometric = False
     else:
         geometric = True
-        for _ in range(n_directions):
+        for _ in range(_N_DIRECTIONS):
             y = _defect_direction(x, rng)
             if y is None:
                 continue
-            if x1_member(x, y, cfg):
+            if x1_member(x, y):
                 geometric = False
                 break
     return Verdict("extreme_point", algebraic, geometric, evidence, tol.as_dict())
@@ -563,22 +543,18 @@ class DefectNormReport:
     orthogonal_case_deviation: float
 
 
-def defect_norm_identity(
-    x: Element,
-    t_grid: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 10.0),
-    n_phases: int = 16,
-) -> DefectNormReport:
-    """Audit the defect-perturbation norm identities over a t and phase grid."""
+def defect_norm_identity(x: Element) -> DefectNormReport:
+    """Audit the defect-perturbation norm identities over t in
+    (0.1, 0.5, 1, 2, 10) and the 16th roots of unity a."""
     one = Element.identity(x.shape)
     p = one - x.H @ x
     q = x @ x.H
-    phases = np.exp(1j * np.pi * np.arange(n_phases) / 8.0)
     identity_dev = 0.0
     slack = 0.0
     orth_dev = 0.0
-    for t in t_grid:
+    for t in _DEFECT_T_GRID:
         reference = element_norm(q + (t * t) * p)
-        for a in phases:
+        for a in _PHASES:
             nrm = element_norm(x + (a * t) * p)
             identity_dev = max(identity_dev, abs(nrm * nrm - reference))
             slack = max(slack, nrm * nrm - (1.0 + t * t))
@@ -663,29 +639,24 @@ def lumer_slopes(
     return out
 
 
-def is_self_adjoint_lumer(
-    x: Element,
-    unit: Element,
-    alphas: tuple[float, ...] = LUMER_ALPHAS,
-    factor: float = 10.0,
-    *, tol: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
+def is_self_adjoint_lumer(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Lumer criterion: ||1 + i alpha x|| = 1 + o(alpha) as alpha -> 0
     relative to ||x||.
 
-    Slopes are taken at the scales alpha / s, s = max(1, ||x||), and must
-    decay linearly: max |d(+/-alpha/s)| <= factor * (alpha/s) * s^2,
-    compared as max |d| / s <= factor * alpha so that no square of ||x||
-    overflows.  An x whose norm overflows raises OverflowError.
+    Slopes are taken at the scales alpha / s, alpha in LUMER_ALPHAS and
+    s = max(1, ||x||), and must decay linearly:
+    max |d(+/-alpha/s)| <= 10 (alpha/s) s^2, compared as
+    max |d| / s <= 10 alpha so that no square of ||x|| overflows.  An x
+    whose norm overflows raises OverflowError.
     """
     scale = max(1.0, x.norm)
     if not np.isfinite(scale):
         raise OverflowError("the norm of x overflows")
-    scaled = tuple(a / scale for a in alphas)
+    scaled = tuple(a / scale for a in LUMER_ALPHAS)
     slopes = lumer_slopes(x, unit, scaled, tol=tol)
     return all(
-        max(abs(slopes[s]), abs(slopes[-s])) / scale <= factor * a
-        for a, s in zip(alphas, scaled)
+        max(abs(slopes[s]), abs(slopes[-s])) / scale <= _LUMER_FACTOR * a
+        for a, s in zip(LUMER_ALPHAS, scaled)
     )
 
 
@@ -749,24 +720,22 @@ def recover_adjoint(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLE
     return Element(x.shape, tuple(out_blocks))
 
 
-def is_positive(
-    x: Element,
-    unit: Element,
-    rng: np.random.Generator | None = None,
-    samples: int = 50,
-    *, tol: Tolerances = DEFAULT_TOLERANCES,
-) -> Verdict:
+def is_positive(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Three-route positivity: spectral oracle, state values, and the
     norm-shift inequality || ||x|| 1 - x || <= ||x||.
 
-    The state route evaluates the spanning basis, the eigenstates of the
-    Hermitian part, and `samples` random pure states; its minimum equals
-    the smallest eigenvalue of the Hermitian part, so all three routes are
-    unanimous on clean inputs.  The Hermitian residual is compared with
-    tol.classification, eigenvalues and state values with tol.equality.
+    Per block, the state route evaluates the n^2 spanning states, the
+    eigenstates of the Hermitian part H = (x + x*)/2 and those of the skew
+    part K = (x - x*)/2i.  A state f has f(x) = f(H) + i f(K), and the
+    values of the states on a Hermitian form the interval between its
+    extreme eigenvalues, attained at eigenstates (Bonsall and Duncan,
+    Numerical Ranges, 1971).  So the smallest real part (`state_min_real`)
+    is lambda_min(H) and the largest |imaginary part| (`state_max_imag`)
+    is ||K||, and all three routes are unanimous on clean inputs.  The
+    Hermitian residual ||x - x*|| is compared with tol.classification,
+    eigenvalues and state values with tol.equality.
     """
     _require_unit(x, unit, tol)
-    rng = rng if rng is not None else np.random.default_rng(0)
 
     herm_dev = element_norm(x - x.H)
     lam_min = np.inf
@@ -775,13 +744,10 @@ def is_positive(
     spanning_max_im = 0.0
     for b in x.blocks:
         n = b.shape[0]
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+        eigvals, h_states = np.linalg.eigh(0.5 * (b + b.conj().T))
         lam_min = min(lam_min, float(eigvals[0]))
-        # same draw order as one (real n, imaginary n) pair per sample
-        draws = rng.standard_normal((samples, 2, n))
-        pure = (draws[:, 0] + 1j * draws[:, 1]).T
-        pure /= np.linalg.norm(pure, axis=0)
-        vals = _state_values(b, np.concatenate([_state_vectors(n), eigvecs, pure], axis=1))
+        _, k_states = np.linalg.eigh(-0.5j * (b - b.conj().T))
+        vals = _state_values(b, np.concatenate([_state_vectors(n), h_states, k_states], axis=1))
         min_re = min(min_re, float(vals.real.min()))
         max_im = max(max_im, float(np.abs(vals.imag).max()))
         spanning_max_im = max(spanning_max_im, float(np.abs(vals[: n * n].imag).max()))
@@ -807,12 +773,7 @@ def is_positive(
     return Verdict("positive", spectral, state_route and norm_route, evidence, tol.as_dict())
 
 
-def is_projection(
-    x: Element,
-    unit: Element,
-    rng: np.random.Generator | None = None,
-    *, tol: Tolerances = DEFAULT_TOLERANCES,
-) -> Verdict:
+def is_projection(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Three-route projection test: idempotent-Hermitian oracle, positive
     partial isometry, and the symmetry x = (1 + v)/2 with v self-adjoint
     unitary, each residual within tol.classification."""
@@ -820,7 +781,7 @@ def is_projection(
     cut = tol.classification
     oracle = element_norm(x @ x - x) <= cut and element_norm(x - x.H) <= cut
 
-    pos = is_positive(x, unit, rng=rng, tol=tol)
+    pos = is_positive(x, unit, tol=tol)
     pi_and_positive = is_partial_isometry_algebraic(x, tol=tol) and pos.algebraic and pos.geometric
 
     v = 2.0 * x - unit

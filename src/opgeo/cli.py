@@ -106,7 +106,8 @@ def cmd_classify(args) -> int:
     x, doc, raw = documents.load_element(args.input)
     tol = args.tolerances
     _, off = norm_one_gate(x, tol=tol)
-    # each route draws from its own default stream: its evidence depends on x alone
+    # the sampled routes draw from fixed streams and is_positive reads eigenstates:
+    # each route's evidence depends on x alone
 
     verdicts = []
     if off is None:

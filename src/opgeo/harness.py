@@ -336,7 +336,7 @@ def _trial_p6(shape, rng, tol: Tolerances):
             if element_norm(x - x.H) > 0.1:
                 break
         expected = False
-    v = is_positive(x, unit, rng=rng, tol=tol)
+    v = is_positive(x, unit, tol=tol)
     ok = v.evidence["unanimous"] and v.algebraic == expected and v.agreement
     return ok, 0.0 if ok else 1.0
 
@@ -367,7 +367,7 @@ def _trial_p7(shape, rng, tol: Tolerances):
     else:
         x = gen_norm_one_non_pi(shape, rng)
         expected = False
-    v = is_projection(x, unit, rng=rng, tol=tol)
+    v = is_projection(x, unit, tol=tol)
     ok = v.evidence["unanimous"] and v.algebraic == expected and v.agreement
     return ok, 0.0 if ok else 1.0
 

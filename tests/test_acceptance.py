@@ -312,7 +312,7 @@ def test_criterion_7_positivity_and_projection_routes(report):
 
     def check_positive(x, one, expected):
         nonlocal all_ok, shift_agrees
-        v = is_positive(x, one, rng=rng)
+        v = is_positive(x, one)
         cond = v.evidence["conditions"]
         if not v.evidence["unanimous"] or v.algebraic != expected:
             all_ok = False
@@ -331,13 +331,13 @@ def test_criterion_7_positivity_and_projection_routes(report):
         shape = SHAPES[trial % len(SHAPES)]
         one = Element.identity(shape)
         p = _random_projection(shape, rng)
-        v = is_projection(p, one, rng=rng)
+        v = is_projection(p, one)
         if not (v.algebraic and v.geometric and v.evidence["unanimous"]):
             all_ok = False
         q = gen_positive(shape, rng)
         if element_norm(q @ q - q) <= 1e-3:
             continue
-        v = is_projection(q, one, rng=rng)
+        v = is_projection(q, one)
         if v.algebraic or v.geometric or not v.evidence["unanimous"]:
             all_ok = False
 

@@ -1,5 +1,6 @@
 """Source checks for the tolerance policy: one `Tolerances` object decides,
-and every other small float is a named constant."""
+every other small float is a named constant, and the classifiers take their
+operands and `tol`, nothing else."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "opgeo"
 #: classes whose field defaults may hold tolerance values
-CONFIG_CLASSES = {"Tolerances", "WitnessConfig"}
+CONFIG_CLASSES = {"Tolerances"}
+#: the operands a public classifier may take besides the keyword-only `tol`
+OPERANDS = {"x", "y", "unit", "w", "cert"}
+#: other parameters, each with a caller that needs a value of its own
+SETTINGS_ALLOWED = {
+    ("is_extreme_point", "rng"): "harness T1X draws directions from its per-trial stream",
+    ("lumer_slopes", "alphas"): (
+        "is_self_adjoint_lumer passes alpha / max(1, ||x||); acceptance criterion 6 reads alpha = 1e-3"
+    ),
+    ("norming_annihilates_defect", "samples"): "harness T2P draws 50 functionals, criterion 4 draws 100",
+    ("norming_annihilates_defect", "rng"): "harness T2P samples from its per-trial stream",
+}
 
 
 def _is_constant_name(target: ast.expr) -> bool:
@@ -44,12 +56,14 @@ def test_small_floats_are_named(path):
     assert found == [], "tolerance-like literals outside named constants: " + ", ".join(found)
 
 
-def test_classifiers_take_no_float_tolerance():
+def _public_functions():
     tree = ast.parse((SRC / "classify.py").read_text())
+    return [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+
+def test_classifiers_take_no_float_tolerance():
     offending = []
-    for fn in tree.body:
-        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
-            continue
+    for fn in _public_functions():
         a = fn.args
         for arg in a.posonlyargs + a.args + a.kwonlyargs:
             name = arg.arg.lower()
@@ -61,7 +75,24 @@ def test_classifiers_take_no_float_tolerance():
 def test_checker_flags_an_inline_tolerance():
     tree = ast.parse(
         "A_TOL = 1e-8\n"
-        "class WitnessConfig:\n    gap: float = 1e-3\n"
+        "class Tolerances:\n    equality: float = 1e-8\n"
         "def f(x, tol=1e-6):\n    return x <= 1e-8\n"
     )
     assert [n.value for n in _unnamed_small_floats(tree)] == [1e-6, 1e-8]
+
+
+def test_classifiers_take_operands_and_tol_alone():
+    offending, used = [], set()
+    for fn in _public_functions():
+        a = fn.args
+        for arg in a.posonlyargs + a.args:
+            if arg.arg == "tol":
+                offending.append(f"{fn.name}({arg.arg}) is not keyword-only")
+        for arg in a.posonlyargs + a.args + a.kwonlyargs:
+            if (fn.name, arg.arg) in SETTINGS_ALLOWED:
+                used.add((fn.name, arg.arg))
+            elif arg.arg not in OPERANDS | {"tol"}:
+                offending.append(f"{fn.name}({arg.arg})")
+    assert offending == []
+    # an allowance whose parameter is gone is dropped with it
+    assert used == set(SETTINGS_ALLOWED)

@@ -12,9 +12,9 @@ diag(1, 0.9995, 0) in M3 has no witness (no singular value lies in
 [gap, 1 - gap]), and both routes say False after one direction.  The
 directions come from a fixed stream, so a verdict depends on x alone.
 
-Every public classifier takes its operands and the keyword-only `tol`;
-the witness function, the grids and the sample counts are the constants
-below.
+Every public classifier takes its operands and, when it reads a
+tolerance, the keyword-only `tol`; the witness function, the grids and the
+sample counts are the constants below.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from opgeo.errors import (
     DegenerateInputError,
     MalformedCertificateError,
     PreconditionError,
-    ShapeMismatchError,
 )
 
 
@@ -615,23 +614,13 @@ def verify_certificate(
 
 
 # ---------------------------------------------------------------------------
-# unit-dependent predicates
+# unit-dependent predicates: the unit of a direct sum of matrix algebras is
+# unique, the blockwise identity, and each route below builds it
 
 
-def _require_unit(x: Element, unit: Element, tol: Tolerances) -> None:
-    if unit.shape != x.shape:
-        raise ShapeMismatchError("unit and element shapes differ")
-    dev = element_norm(unit - Element.identity(unit.shape))
-    if dev > tol.equality:
-        raise PreconditionError(f"supplied unit is not the identity: deviation {dev:.3e}")
-
-
-def lumer_slopes(
-    x: Element, unit: Element, alphas: tuple[float, ...] = LUMER_ALPHAS,
-    *, tol: Tolerances = DEFAULT_TOLERANCES,
-) -> dict[float, float]:
+def lumer_slopes(x: Element, alphas: tuple[float, ...] = LUMER_ALPHAS) -> dict[float, float]:
     """Signed slopes d(alpha) = (||1 + i alpha x|| - 1) / alpha for both signs."""
-    _require_unit(x, unit, tol)
+    unit = Element.identity(x.shape)
     out = {}
     for a in alphas:
         for signed in (a, -a):
@@ -639,7 +628,7 @@ def lumer_slopes(
     return out
 
 
-def is_self_adjoint_lumer(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def is_self_adjoint_lumer(x: Element) -> bool:
     """Lumer criterion: ||1 + i alpha x|| = 1 + o(alpha) as alpha -> 0
     relative to ||x||.
 
@@ -653,7 +642,7 @@ def is_self_adjoint_lumer(x: Element, unit: Element, *, tol: Tolerances = DEFAUL
     if not np.isfinite(scale):
         raise OverflowError("the norm of x overflows")
     scaled = tuple(a / scale for a in LUMER_ALPHAS)
-    slopes = lumer_slopes(x, unit, scaled, tol=tol)
+    slopes = lumer_slopes(x, scaled)
     return all(
         max(abs(slopes[s]), abs(slopes[-s])) / scale <= _LUMER_FACTOR * a
         for a, s in zip(LUMER_ALPHAS, scaled)
@@ -690,17 +679,16 @@ def _hermitian_from_states(vals: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def is_self_adjoint_states(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def is_self_adjoint_states(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """f(x) real, within tol.equality, for the spanning family of
     matrix-unit-derived states."""
-    _require_unit(x, unit, tol)
     return all(
         np.max(np.abs(_state_values(b, _state_vectors(b.shape[0])).imag)) <= tol.equality
         for b in x.blocks
     )
 
 
-def recover_adjoint(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Element:
+def recover_adjoint(x: Element) -> Element:
     """Recover x* from norm data alone: x = h + ik with h, k self-adjoint,
     and x* = h - ik.
 
@@ -709,7 +697,6 @@ def recover_adjoint(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLE
     n^2 spanning states are evaluated on x once; `_hermitian_from_states`
     inverts the real parts to h and the imaginary parts to k in closed form.
     x enters only through these values."""
-    _require_unit(x, unit, tol)
     out_blocks = []
     for b in x.blocks:
         n = b.shape[0]
@@ -720,7 +707,7 @@ def recover_adjoint(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLE
     return Element(x.shape, tuple(out_blocks))
 
 
-def is_positive(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
+def is_positive(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Three-route positivity: spectral oracle, state values, and the
     norm-shift inequality || ||x|| 1 - x || <= ||x||.
 
@@ -735,8 +722,6 @@ def is_positive(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANC
     Hermitian residual ||x - x*|| is compared with tol.classification,
     eigenvalues and state values with tol.equality.
     """
-    _require_unit(x, unit, tol)
-
     herm_dev = element_norm(x - x.H)
     lam_min = np.inf
     min_re = np.inf
@@ -756,13 +741,13 @@ def is_positive(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANC
 
     # norm route: real on the spanning states, as in is_self_adjoint_states
     nrm = x.norm
-    shift_ok = element_norm(nrm * unit - x) <= nrm + tol.equality
+    shift_ok = element_norm(nrm * Element.identity(x.shape) - x) <= nrm + tol.equality
     norm_route = spanning_max_im <= tol.equality and shift_ok
 
     evidence = {
-        "lambda_min": None if lam_min is np.inf else float(lam_min),
-        "state_min_real": None if min_re is np.inf else float(min_re),
-        "state_max_imag": float(max_im),
+        "lambda_min": lam_min,
+        "state_min_real": min_re,
+        "state_max_imag": max_im,
         "conditions": {
             "spectral": spectral,
             "states": state_route,
@@ -773,19 +758,18 @@ def is_positive(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANC
     return Verdict("positive", spectral, state_route and norm_route, evidence, tol.as_dict())
 
 
-def is_projection(x: Element, unit: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
+def is_projection(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Three-route projection test: idempotent-Hermitian oracle, positive
     partial isometry, and the symmetry x = (1 + v)/2 with v self-adjoint
     unitary, each residual within tol.classification."""
-    _require_unit(x, unit, tol)
     cut = tol.classification
     oracle = element_norm(x @ x - x) <= cut and element_norm(x - x.H) <= cut
 
-    pos = is_positive(x, unit, tol=tol)
+    pos = is_positive(x, tol=tol)
     pi_and_positive = is_partial_isometry_algebraic(x, tol=tol) and pos.algebraic and pos.geometric
 
-    v = 2.0 * x - unit
     one = Element.identity(x.shape)
+    v = 2.0 * x - one
     symmetry = (
         element_norm(v - v.H) <= cut
         and element_norm(v.H @ v - one) <= cut

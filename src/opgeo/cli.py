@@ -75,13 +75,14 @@ def _parse_shapes(text: str) -> tuple[AlgebraShape, ...]:
 
 
 def _unit_requested(args, doc) -> bool:
-    return bool(getattr(args, "unit", False) or doc.get("unit_identified", False))
+    # `unit_identified` is a JSON boolean: element_from_doc checks it
+    return args.unit or doc.get("unit_identified", False)
 
 
-def _self_adjoint_verdict(x: Element, unit: Element, tol: Tolerances) -> Verdict:
+def _self_adjoint_verdict(x: Element, tol: Tolerances) -> Verdict:
     algebraic = element_norm(x - x.H) <= tol.classification
-    lumer = is_self_adjoint_lumer(x, unit, tol=tol)
-    states = is_self_adjoint_states(x, unit, tol=tol)
+    lumer = is_self_adjoint_lumer(x)
+    states = is_self_adjoint_states(x, tol=tol)
     return Verdict(
         "self_adjoint",
         algebraic,
@@ -120,10 +121,9 @@ def cmd_classify(args) -> int:
     verdicts.append(documents.verdict_to_doc(_invertible_verdict(x, tol)))
 
     if _unit_requested(args, doc):
-        unit = Element.identity(x.shape)
-        verdicts.append(documents.verdict_to_doc(_self_adjoint_verdict(x, unit, tol)))
-        verdicts.append(documents.verdict_to_doc(is_positive(x, unit, tol=tol)))
-        verdicts.append(documents.verdict_to_doc(is_projection(x, unit, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(_self_adjoint_verdict(x, tol)))
+        verdicts.append(documents.verdict_to_doc(is_positive(x, tol=tol)))
+        verdicts.append(documents.verdict_to_doc(is_projection(x, tol=tol)))
 
     report = {
         "tool": "opgeo",
@@ -189,9 +189,16 @@ def cmd_certify(args) -> int:
 
 def cmd_harness(args) -> int:
     try:
+        seed = args.seed
+        if seed is None:
+            raw = os.environ.get("OPGEO_SEED", "0")
+            try:
+                seed = int(raw)
+            except ValueError:
+                raise ValueError(f"OPGEO_SEED must be an integer, got {raw!r}") from None
         suites = tuple(s.strip().upper() for s in args.suites.split(",") if s.strip())
         cfg = TrialConfig(
-            seed=args.seed,
+            seed=seed,
             trials=args.trials,
             shapes=_parse_shapes(args.shapes),
             tolerances=args.tolerances,
@@ -213,8 +220,7 @@ def cmd_adjoint(args) -> int:
     if not _unit_requested(args, doc):
         print("error: adjoint recovery requires an identified unit (--unit)", file=sys.stderr)
         return EXIT_PRECONDITION
-    unit = Element.identity(x.shape)
-    star = recover_adjoint(x, unit, tol=args.tolerances)
+    star = recover_adjoint(x)
     print(documents.dumps(documents.element_to_doc(star, label=doc.get("label"))))
     return EXIT_OK
 
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("harness", help="run the seeded property suites")
-    p.add_argument("--seed", type=int, default=int(os.environ.get("OPGEO_SEED", "0")))
+    p.add_argument("--seed", type=int, help="default: the OPGEO_SEED environment variable, else 0")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--suites", default=",".join(ALL_SUITES))
     p.add_argument(
@@ -270,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(p)
     p.set_defaults(func=cmd_harness)
 
-    p = sub.add_parser("adjoint", help="recover the adjoint from norm data")
+    p = sub.add_parser("adjoint", help="recover the adjoint from norm data (reads no tolerance)")
     p.add_argument("input", help="operator document path, or - for stdin")
-    p.add_argument("--unit", action="store_true")
-    add_tol(p)
+    p.add_argument("--unit", action="store_true", help="treat the blockwise identity as an identified unit")
+    add_tol(p)  # accepted and validated as for every command; the recovery reads none
     p.set_defaults(func=cmd_adjoint)
 
     return parser

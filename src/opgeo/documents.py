@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -38,12 +39,12 @@ def _block_to_pairs(b: np.ndarray) -> list:
 def _pairs_to_block(pairs, n: int) -> np.ndarray:
     if len(pairs) != n * n:
         raise DocumentError(f"block for M{n} needs {n * n} entries, got {len(pairs)}")
-    flat = []
-    for p in pairs:
-        if not (isinstance(p, (list, tuple)) and len(p) == 2):
-            raise DocumentError("matrix entries must be [re, im] pairs")
-        flat.append(complex(float(p[0]), float(p[1])))
-    return np.array(flat, dtype=np.complex128).reshape(n, n)
+    # a JSON number decodes to an int or a float; bool is excluded
+    pairs_ok = all(type(p) is list and len(p) == 2 for p in pairs)
+    if not (pairs_ok and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+        raise DocumentError("matrix entries must be [re, im] pairs of JSON numbers")
+    # (re, im) float64 pairs are the memory layout of complex128: the view is bit-exact
+    return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(n, n)
 
 
 def element_to_doc(x: Element, label: str | None = None, unit_identified: bool | None = None) -> dict:
@@ -59,13 +60,15 @@ def element_to_doc(x: Element, label: str | None = None, unit_identified: bool |
 
 
 def element_from_doc(doc) -> Element:
+    """Decode strictly: `shape` holds JSON integers, each entry pair JSON
+    numbers, and `unit_identified`, when present, is a JSON boolean."""
     if not isinstance(doc, dict):
         raise DocumentError("operator document must be a JSON object")
-    try:
-        dims = [int(d) for d in doc["shape"]]
-        blocks_raw = doc["blocks"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"missing or malformed field: {exc}") from exc
+    dims, blocks_raw = doc.get("shape"), doc.get("blocks")
+    if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
+        raise DocumentError("shape must be a list of JSON integers")
+    if type(doc.get("unit_identified", False)) is not bool:
+        raise DocumentError("unit_identified must be a JSON boolean")
     if not isinstance(blocks_raw, list) or len(blocks_raw) != len(dims):
         raise DocumentError("blocks must be a list matching shape")
     try:

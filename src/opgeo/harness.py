@@ -303,7 +303,6 @@ def _trial_t4(shape, rng, tol: Tolerances):
 
 
 def _trial_lumer(shape, rng, tol: Tolerances):
-    unit = Element.identity(shape)
     if int(rng.integers(0, 2)) == 0:
         x = gen_hermitian(shape, rng)
         expected = True
@@ -315,8 +314,8 @@ def _trial_lumer(shape, rng, tol: Tolerances):
             k = (0.3 / nk) * k
         x = h + 0.5j * k
         expected = False
-    lum = is_self_adjoint_lumer(x, unit, tol=tol)
-    states = is_self_adjoint_states(x, unit, tol=tol)
+    lum = is_self_adjoint_lumer(x)
+    states = is_self_adjoint_states(x, tol=tol)
     ok = lum == expected and states == expected
     return ok, 0.0 if ok else 1.0
 
@@ -336,7 +335,7 @@ def _trial_p6(shape, rng, tol: Tolerances):
             if element_norm(x - x.H) > 0.1:
                 break
         expected = False
-    v = is_positive(x, unit, tol=tol)
+    v = is_positive(x, tol=tol)
     ok = v.evidence["unanimous"] and v.algebraic == expected and v.agreement
     return ok, 0.0 if ok else 1.0
 
@@ -353,7 +352,6 @@ def _gen_projection(shape, rng) -> Element:
 
 
 def _trial_p7(shape, rng, tol: Tolerances):
-    unit = Element.identity(shape)
     case = int(rng.integers(0, 3))
     if case == 0:
         x = _gen_projection(shape, rng)
@@ -367,17 +365,16 @@ def _trial_p7(shape, rng, tol: Tolerances):
     else:
         x = gen_norm_one_non_pi(shape, rng)
         expected = False
-    v = is_projection(x, unit, tol=tol)
+    v = is_projection(x, tol=tol)
     ok = v.evidence["unanimous"] and v.algebraic == expected and v.agreement
     return ok, 0.0 if ok else 1.0
 
 
 def _trial_adj(shape, rng, tol: Tolerances):
-    unit = Element.identity(shape)
     x = gen_ginibre(shape, rng)
-    star = recover_adjoint(x, unit, tol=tol)
+    star = recover_adjoint(x)
     dev = element_norm(star - x.H)
-    twice = recover_adjoint(star, unit, tol=tol)
+    twice = recover_adjoint(star)
     dev = max(dev, element_norm(twice - x))
     return dev <= tol.equality, dev
 

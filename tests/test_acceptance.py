@@ -248,34 +248,29 @@ def test_criterion_6_self_adjointness_and_adjoint_recovery(report):
     hermitian_ok = True
     for trial in range(200):
         shape = SHAPES[trial % len(SHAPES)]
-        one = Element.identity(shape)
         h = gen_hermitian(shape, rng)
-        if not (is_self_adjoint_lumer(h, one) and is_self_adjoint_states(h, one)):
+        if not (is_self_adjoint_lumer(h) and is_self_adjoint_states(h)):
             hermitian_ok = False
     skew_ok = True
     worst_slope = np.inf
     for trial in range(200):
         shape = SHAPES[trial % len(SHAPES)]
-        one = Element.identity(shape)
         h = gen_hermitian(shape, rng)
         k = gen_hermitian(shape, rng)
         k = (1.0 / element_norm(k)) * k
         x = h + 0.5j * k
-        if is_self_adjoint_lumer(x, one) or is_self_adjoint_states(x, one):
+        if is_self_adjoint_lumer(x) or is_self_adjoint_states(x):
             skew_ok = False
-        slopes = lumer_slopes(x, one, alphas=(1e-3,))
+        slopes = lumer_slopes(x, alphas=(1e-3,))
         worst_slope = min(worst_slope, max(abs(slopes[1e-3]), abs(slopes[-1e-3])))
     adjoint_dev = 0.0
     involution_dev = 0.0
     for trial in range(200):
         shape = SHAPES[trial % len(SHAPES)]
-        one = Element.identity(shape)
         x = gen_ginibre(shape, rng)
-        star = recover_adjoint(x, one)
+        star = recover_adjoint(x)
         adjoint_dev = max(adjoint_dev, element_norm(star - x.H))
-        involution_dev = max(
-            involution_dev, element_norm(recover_adjoint(star, one) - x)
-        )
+        involution_dev = max(involution_dev, element_norm(recover_adjoint(star) - x))
     ok = (
         hermitian_ok
         and skew_ok
@@ -310,9 +305,9 @@ def test_criterion_7_positivity_and_projection_routes(report):
     all_ok = True
     shift_agrees = True
 
-    def check_positive(x, one, expected):
+    def check_positive(x, expected):
         nonlocal all_ok, shift_agrees
-        v = is_positive(x, one)
+        v = is_positive(x)
         cond = v.evidence["conditions"]
         if not v.evidence["unanimous"] or v.algebraic != expected:
             all_ok = False
@@ -322,22 +317,21 @@ def test_criterion_7_positivity_and_projection_routes(report):
     for trial in range(200):
         shape = SHAPES[trial % len(SHAPES)]
         one = Element.identity(shape)
-        check_positive(gen_positive(shape, rng), one, True)
+        check_positive(gen_positive(shape, rng), True)
         h = gen_hermitian(shape, rng)
         lam = min(float(np.linalg.eigvalsh(b)[0]) for b in h.blocks)
-        check_positive(h - (lam + 0.5) * one, one, False)
+        check_positive(h - (lam + 0.5) * one, False)
 
     for trial in range(200):
         shape = SHAPES[trial % len(SHAPES)]
-        one = Element.identity(shape)
         p = _random_projection(shape, rng)
-        v = is_projection(p, one)
+        v = is_projection(p)
         if not (v.algebraic and v.geometric and v.evidence["unanimous"]):
             all_ok = False
         q = gen_positive(shape, rng)
         if element_norm(q @ q - q) <= 1e-3:
             continue
-        v = is_projection(q, one)
+        v = is_projection(q)
         if v.algebraic or v.geometric or not v.evidence["unanimous"]:
             all_ok = False
 

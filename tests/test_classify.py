@@ -332,7 +332,7 @@ class TestX1Member:
         calls = _count_linalg(monkeypatch, "svd", "norm", "eigh", "eigvalsh", "lstsq")
         with redirect_stdout(io.StringIO()):
             assert main(["classify", str(path), "--unit"]) == 0
-        assert sum(calls.values()) <= 98
+        assert sum(calls.values()) <= 93
 
 
 def _small_ops_mix(shape: AlgebraShape, rng: np.random.Generator) -> dict:
@@ -624,73 +624,57 @@ class TestInvertibleVerdict:
 
 class TestSelfAdjoint:
     def test_lumer_hermitian(self, rng):
-        one = unit(M2)
-        assert is_self_adjoint_lumer(diag_element([1.0, -1.0]), one)
-        h = gen_hermitian(M2_M3, rng)
-        assert is_self_adjoint_lumer(h, unit(M2_M3))
+        assert is_self_adjoint_lumer(diag_element([1.0, -1.0]))
+        assert is_self_adjoint_lumer(gen_hermitian(M2_M3, rng))
 
     def test_lumer_skew(self):
-        one = unit(M2)
-        x = 1j * one
-        slopes = lumer_slopes(x, one)
+        x = 1j * unit(M2)
+        slopes = lumer_slopes(x)
         assert slopes[1e-3] == pytest.approx(-1.0, abs=1e-6)
-        assert not is_self_adjoint_lumer(x, one)
+        assert not is_self_adjoint_lumer(x)
 
     def test_states_route(self, rng):
-        one = unit(M2_M3)
         h = gen_hermitian(M2_M3, rng)
-        assert is_self_adjoint_states(h, one)
-        assert not is_self_adjoint_states(h + 0.5j * gen_hermitian(M2_M3, rng), one)
+        assert is_self_adjoint_states(h)
+        assert not is_self_adjoint_states(h + 0.5j * gen_hermitian(M2_M3, rng))
 
     def test_routes_agree(self, rng):
-        one = unit(M2_M3)
         for _ in range(10):
             h = gen_hermitian(M2_M3, rng)
             k = gen_hermitian(M2_M3, rng)
             x = h + 0.5j * k
             expected = element_norm(k) <= 1e-8
-            assert is_self_adjoint_lumer(x, one) == expected
-            assert is_self_adjoint_states(x, one) == expected
+            assert is_self_adjoint_lumer(x) == expected
+            assert is_self_adjoint_states(x) == expected
 
     @pytest.mark.parametrize("c", [1.0, 20.0, 1e3, 1e4, 1e6])
     def test_lumer_skew_at_any_scale(self, c):
         # slopes of c*i*1 are c in size; at absolute scales alpha they sat
         # under 10 * alpha * c^2 from c = 1e4 on
-        one = unit(M2)
-        x = (c * 1j) * one
-        assert is_self_adjoint_lumer(x, one) is False
-        assert is_self_adjoint_states(x, one) is False
+        x = (c * 1j) * unit(M2)
+        assert is_self_adjoint_lumer(x) is False
+        assert is_self_adjoint_states(x) is False
 
     def test_lumer_huge_norm(self):
         # ||x||^2 = 1e400 is beyond float range; the bound never forms it
-        m3 = AlgebraShape((3,))
-        assert is_self_adjoint_lumer(1e200 * unit(m3), unit(m3)) is True
-
-    def test_requires_identity_unit(self):
-        with pytest.raises(PreconditionError):
-            lumer_slopes(unit(M2), diag_element([1.0, 0.5]))
-        with pytest.raises(ShapeMismatchError):
-            lumer_slopes(unit(M2), Element.identity(M2_M3))
+        assert is_self_adjoint_lumer(1e200 * unit(AlgebraShape((3,)))) is True
 
 
 class TestRecoverAdjoint:
     def test_skew_unit(self):
-        one = unit(M2)
-        adj = recover_adjoint(1j * one, one)
+        adj = recover_adjoint(1j * unit(M2))
         np.testing.assert_allclose(adj.blocks[0], -1j * np.eye(2), atol=1e-10)
 
     def test_matches_conjugate_transpose(self, rng):
-        one = unit(M2_M3)
         h = gen_hermitian(M2_M3, rng)
         k = gen_hermitian(M2_M3, rng)
         x = h + 1j * k
-        adj = recover_adjoint(x, one)
+        adj = recover_adjoint(x)
         assert element_norm(adj - x.H) <= 1e-8
 
     def test_involution(self, rng):
-        one = unit(M2_M3)
         x = gen_hermitian(M2_M3, rng) + 1j * gen_hermitian(M2_M3, rng)
-        twice = recover_adjoint(recover_adjoint(x, one), one)
+        twice = recover_adjoint(recover_adjoint(x))
         assert element_norm(twice - x) <= 1e-8
 
 
@@ -726,7 +710,7 @@ class TestStateTable:
     def test_recover_adjoint_to_rounding(self, dims):
         rng = np.random.default_rng(sum(dims))
         x = Element.from_blocks([3.0 * random_complex(n, rng) for n in dims])
-        star = recover_adjoint(x, unit(x.shape))
+        star = recover_adjoint(x)
         assert element_norm(star - x.H) <= 1e-13 * max(1.0, element_norm(x))
 
     def test_adjoint_command_takes_no_svd_or_lstsq(self, tmp_path, monkeypatch):
@@ -747,7 +731,7 @@ class TestStateTable:
             return original(b, vecs)
 
         monkeypatch.setattr(classify, "_state_values", counted)
-        v = is_positive(gen_hermitian(M2_M3, rng), unit(M2_M3))
+        v = is_positive(gen_hermitian(M2_M3, rng))
         assert v.evidence["unanimous"]
         # n^2 spanning states, then the n eigenstates of H and of K, per block
         assert columns == [4 + 2 + 2, 9 + 3 + 3]
@@ -755,22 +739,19 @@ class TestStateTable:
 
 class TestPositive:
     def test_members(self):
-        one = unit(M2)
-        for x in (diag_element([1.0, 0.0]), diag_element([0.0, 0.0]), one):
-            v = is_positive(x, one)
+        for x in (diag_element([1.0, 0.0]), diag_element([0.0, 0.0]), unit(M2)):
+            v = is_positive(x)
             assert v.algebraic and v.geometric
             assert v.evidence["unanimous"]
 
     def test_non_members(self):
-        one = unit(M2)
-        for x in (diag_element([1.0, -1.0]), 1j * one):
-            v = is_positive(x, one)
+        for x in (diag_element([1.0, -1.0]), 1j * unit(M2)):
+            v = is_positive(x)
             assert not v.algebraic and not v.geometric
             assert v.evidence["unanimous"]
 
     def test_lambda_min_evidence(self):
-        one = unit(M2)
-        v = is_positive(diag_element([1.0, -1.0]), one)
+        v = is_positive(diag_element([1.0, -1.0]))
         assert v.evidence["lambda_min"] == pytest.approx(-1.0)
 
     def test_state_max_imag_is_the_skew_norm(self):
@@ -781,7 +762,7 @@ class TestPositive:
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             u /= np.linalg.norm(u)
             x = Element.from_blocks([np.diag(np.linspace(1.0, 0.5, n)) + 2e-8j * np.outer(u, u.conj())])
-            v = is_positive(x, unit(x.shape))
+            v = is_positive(x)
             assert v.evidence["state_max_imag"] == pytest.approx(2e-8, rel=1e-6)
             assert v.evidence["conditions"]["states"] is False
             # ||x - x*|| = 4e-8 passes the spectral oracle's classification cut
@@ -791,21 +772,18 @@ class TestPositive:
 
 class TestProjection:
     def test_member(self):
-        one = unit(M2)
-        v = is_projection(diag_element([1.0, 0.0]), one)
+        v = is_projection(diag_element([1.0, 0.0]))
         assert v.algebraic and v.geometric
         assert all(v.evidence["conditions"].values())
 
     def test_non_member_all_routes(self):
-        one = unit(M2)
-        v = is_projection(diag_element([1.0, 0.5]), one)
+        v = is_projection(diag_element([1.0, 0.5]))
         assert not v.algebraic and not v.geometric
         assert not any(v.evidence["conditions"].values())
         assert v.evidence["unanimous"]
 
     def test_unitary_is_not_projection(self):
-        one = unit(M2)
-        v = is_projection(diag_element([1.0, -1.0]), one)
+        v = is_projection(diag_element([1.0, -1.0]))
         assert not v.algebraic and not v.geometric
 
 
@@ -818,22 +796,21 @@ class TestTolerancePolicy:
     """Every classifier decides with the Tolerances it is given."""
 
     @pytest.mark.parametrize(
-        "route, needs_unit, diagonal, perturbation",
+        "route, diagonal, perturbation",
         [
-            (is_partial_isometry_geometric, False, [1.0, 0.0], E22),
-            (is_extreme_point, False, [1.0, 1.0], -E22),
-            (is_unitary_geometric, False, [1.0, 1.0], E12),
-            (is_positive, True, [1.0, 0.0], E12),
-            (is_projection, True, [1.0, 0.0], E12),
+            (is_partial_isometry_geometric, [1.0, 0.0], E22),
+            (is_extreme_point, [1.0, 1.0], -E22),
+            (is_unitary_geometric, [1.0, 1.0], E12),
+            (is_positive, [1.0, 0.0], E12),
+            (is_projection, [1.0, 0.0], E12),
         ],
     )
-    def test_verdict_routes(self, route, needs_unit, diagonal, perturbation):
+    def test_verdict_routes(self, route, diagonal, perturbation):
         # a member perturbed by 1e-4: outside the default classification
         # tolerance, inside 1e-3
         x = Element.from_blocks([np.diag(diagonal) + 1e-4 * perturbation])
-        args = (x, Element.identity(x.shape)) if needs_unit else (x,)
-        strict = route(*args)
-        loose = route(*args, tol=LOOSE)
+        strict = route(x)
+        loose = route(x, tol=LOOSE)
         assert strict.tolerances == DEFAULT_TOLERANCES.as_dict()
         assert loose.tolerances == LOOSE.as_dict()
         assert (strict.algebraic, loose.algebraic) == (False, True)
@@ -855,7 +832,7 @@ class TestTolerancePolicy:
             ),
             (
                 lambda tol: is_self_adjoint_states(
-                    Element.from_blocks([np.diag([1.0, 0.0]) + 1e-4j * E12]), unit(M2), tol=tol
+                    Element.from_blocks([np.diag([1.0, 0.0]) + 1e-4j * E12]), tol=tol
                 ),
                 Tolerances(equality=1e-3, classification=1e-3),
             ),

@@ -8,7 +8,7 @@ import pytest
 from conftest import diag_element
 from opgeo import cli, documents
 from opgeo.algebra import AlgebraShape, Element, element_norm
-from opgeo.classify import construct_witness, is_positive
+from opgeo.classify import construct_witness, is_positive, is_projection, recover_adjoint
 from opgeo.cli import main
 from opgeo.generators import gen_invertible, gen_norm_one_non_pi
 from opgeo.harness import MAX_BLOCK_DIM
@@ -151,15 +151,20 @@ class TestClassify:
         assert json.loads(out)["verified"] is True
 
     def test_route_evidence_depends_on_x_alone(self, tmp_path):
-        # a norm-one non-Hermitian input: the routes before `positive` run
-        # and draw, and its random states must not see those draws
+        # a norm-one non-Hermitian input: the routes before the unit
+        # predicates run and draw; the CLI's identified unit and the
+        # identity each route builds give the same documents
         x = gen_norm_one_non_pi(AlgebraShape((4,)), np.random.default_rng(0))
-        path = write_doc(tmp_path, "x.json", documents.element_to_doc(x))
+        path = write_doc(tmp_path, "x.json", documents.element_to_doc(x, label="x"))
         code, out, _ = run_cli("classify", path, "--unit")
         assert code == 0
         verdicts = {v["predicate"]: v for v in json.loads(out)["verdicts"]}
-        alone = documents.verdict_to_doc(is_positive(x, Element.identity(x.shape)))
-        assert verdicts["positive"] == json.loads(documents.dumps(alone))
+        for route in (is_positive, is_projection):
+            alone = documents.verdict_to_doc(route(x))
+            assert verdicts[alone["predicate"]] == json.loads(documents.dumps(alone))
+        code, out, _ = run_cli("adjoint", path, "--unit")
+        assert code == 0
+        assert out == documents.dumps(documents.element_to_doc(recover_adjoint(x), label="x")) + "\n"
 
     def test_deterministic_bytes(self, diag_half):
         first = run_cli("classify", diag_half, "--unit")
@@ -323,6 +328,25 @@ class TestHarness:
         assert out == ""
         assert err.startswith("error: tolerance") and err.count("\n") == 1
 
+    def test_seed_from_environment(self, monkeypatch):
+        args = ("harness", "--trials", "1", "--suites", "T4", "--shapes", "M2", "--format", "json")
+        monkeypatch.setenv("OPGEO_SEED", "7")
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 7
+        code, out, _ = run_cli(*args, "--seed", "8")
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 8
+
+    def test_bad_environment_seed_exits_2_from_harness_alone(self, monkeypatch, identity3):
+        monkeypatch.setenv("OPGEO_SEED", "abc")
+        code, out, err = run_cli("harness", "--trials", "1", "--suites", "T4", "--shapes", "M2")
+        assert (code, out) == (2, "")
+        assert err == "error: OPGEO_SEED must be an integer, got 'abc'\n"
+        code, out, _ = run_cli("harness", "--trials", "1", "--suites", "T4", "--shapes", "M2", "--seed", "1")
+        assert code == 0
+        assert run_cli("classify", identity3)[0] == 0
+
     def test_timing_flag_adds_wall_time(self):
         code, out, _ = run_cli(
             "harness", "--trials", "1", "--suites", "T1B", "--shapes", "M2",
@@ -397,3 +421,30 @@ class TestDocuments:
     def test_rejects_bad_entries(self):
         with pytest.raises(documents.DocumentError):
             documents.element_from_doc({"shape": [1], "blocks": [["oops"]]})
+
+    @pytest.mark.parametrize("command", ["classify", "adjoint"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"unit_identified": "false"},
+            {"unit_identified": 1},
+            {"shape": [2.7]},
+            {"shape": [2.0]},
+            {"shape": [True], "blocks": [[["1", "0"]]]},
+            {"shape": [1], "blocks": [[[True, 0.0]]]},
+            {"shape": [1], "blocks": [[["1", "0"]]]},
+        ],
+        ids=["unit-string", "unit-int", "shape-fraction", "shape-float", "shape-bool", "entry-bool", "entry-string"],
+    )
+    def test_json_types_are_strict(self, tmp_path, command, edit):
+        # each of these decoded before; "false" turned the unit predicates on
+        doc = documents.element_to_doc(Element.identity(AlgebraShape((2,)))) | edit
+        code, out, err = run_cli(command, write_doc(tmp_path, "x.json", doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unit_identified_false_is_no_unit(self, tmp_path):
+        doc = documents.element_to_doc(Element.identity(AlgebraShape((2,))), unit_identified=False)
+        code, out, _ = run_cli("classify", write_doc(tmp_path, "x.json", doc))
+        assert code == 0
+        assert "positive" not in {v["predicate"] for v in json.loads(out)["verdicts"]}

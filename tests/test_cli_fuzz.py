@@ -1,18 +1,19 @@
 """Property test of the CLI boundary.
 
 `cli.main` runs in-process on malformed operator, witness and certificate
-documents and on arbitrary `--tol` strings.  Every run must exit 0, 2, 3 or
-4 without a traceback, and a nonzero exit must explain itself in exactly one
-stderr line.  Block dims stay <= 4 and the examples are derandomized, so the
-test is deterministic and quick.
-
-Not covered: `harness --shapes M<huge>`, which still ends in an allocation
-error.
+documents, on arbitrary `--tol` strings, and on junk harness shapes and
+`OPGEO_SEED` values.  Every run must exit 0, 2, 3 or 4 without a traceback,
+and a nonzero exit must explain itself in exactly one stderr line.  Block
+dims of operators stay <= 4, harness runs take one T4 trial with blocks of
+at most `MAX_BLOCK_DIM`, and the examples are derandomized, so the test is
+deterministic and quick.
 """
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,3 +187,33 @@ def test_certificate_documents(workdir, doc):
 def test_tolerance_strings(workdir, tol, command):
     x = _write(workdir / "id.json", documents.element_to_doc(diag_element([1.0, 1.0])))
     assert_clean_exit([command[0], x, *command[1:], *_tol_args(tol)])
+
+
+#: harness shapes: near-miss tokens from the shape grammar, and any text
+shape_strings = st.one_of(
+    st.text(max_size=12),
+    st.lists(
+        st.builds(
+            "{}{}".format,
+            st.sampled_from(["M", "m", "", "M-", "+", "MM"]),
+            st.one_of(st.integers(-2, 80).map(str), st.sampled_from(["10" * 12, "1_0", "", "x", "2.5"])),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(",".join),
+)
+#: environment values: text without the NUL and surrogates an environment cannot hold
+env_strings = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8),
+    st.integers(-(10**30), 10**30).map(str),
+)
+
+
+@FUZZ
+@given(shapes=shape_strings, seed=st.none() | env_strings)
+def test_harness_shapes_and_environment_seed(shapes, seed):
+    with mock.patch.dict(os.environ):
+        os.environ.pop("OPGEO_SEED", None)
+        if seed is not None:
+            os.environ["OPGEO_SEED"] = seed
+        assert_clean_exit(["harness", "--trials", "1", "--suites", "T4", f"--shapes={shapes}"])

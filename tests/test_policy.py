@@ -1,6 +1,6 @@
 """Source checks for the tolerance policy: one `Tolerances` object decides,
 every other small float is a named constant, and the classifiers take their
-operands and `tol`, nothing else."""
+operands and, when they read it, `tol`, nothing else."""
 
 import ast
 from pathlib import Path
@@ -11,7 +11,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "opgeo"
 #: classes whose field defaults may hold tolerance values
 CONFIG_CLASSES = {"Tolerances"}
 #: the operands a public classifier may take besides the keyword-only `tol`
-OPERANDS = {"x", "y", "unit", "w", "cert"}
+OPERANDS = {"x", "y", "w", "cert"}
 #: other parameters, each with a caller that needs a value of its own
 SETTINGS_ALLOWED = {
     ("is_extreme_point", "rng"): "harness T1X draws directions from its per-trial stream",
@@ -96,3 +96,16 @@ def test_classifiers_take_operands_and_tol_alone():
     assert offending == []
     # an allowance whose parameter is gone is dropped with it
     assert used == set(SETTINGS_ALLOWED)
+
+
+def test_a_taken_tol_is_read():
+    # a route that reads no tolerance takes no `tol`: the Lumer slopes and
+    # the adjoint recovery read norm and state values alone
+    unread = []
+    for fn in _public_functions():
+        a = fn.args
+        if any(arg.arg == "tol" for arg in a.posonlyargs + a.args + a.kwonlyargs):
+            names = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            if "tol" not in names:
+                unread.append(fn.name)
+    assert unread == []

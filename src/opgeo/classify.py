@@ -38,6 +38,7 @@ from opgeo.errors import (
     DegenerateInputError,
     MalformedCertificateError,
     PreconditionError,
+    ShapeMismatchError,
 )
 
 
@@ -150,8 +151,12 @@ def norm_one_gate(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[
     return nrm, None
 
 
-def _grid_norms(x: Element, y: Element, bs: np.ndarray) -> np.ndarray:
-    """||x + b y|| for every b in the flat complex array bs (batched SVD)."""
+def _grid_norms(x: Element, y: Element, bs) -> np.ndarray:
+    """||x + b y|| for every b in the flat sequence of scalars bs, one
+    stacked SVD per block.  A y from another algebra raises ShapeMismatchError."""
+    if x.shape != y.shape:
+        raise ShapeMismatchError("elements live in different algebras")
+    bs = np.asarray(bs, dtype=np.complex128)
     norms = np.zeros(bs.shape[0])
     for xb, yb in zip(x.blocks, y.blocks):
         stack = xb[None, :, :] + bs[:, None, None] * yb[None, :, :]
@@ -209,8 +214,7 @@ def _measure_witness(
     x: Element, nrm: float, y: Element, b: float, spectral_point: float, tol: Tolerances
 ) -> tuple[PartialIsometryWitness, bool, float]:
     """(witness, verified, deviation) for (y, b) measured on x, ||x|| = nrm."""
-    norm_plus, norm_minus = element_norm(x + y), element_norm(x - y)
-    norm_at_b = element_norm(x + b * y)
+    norm_plus, norm_minus, norm_at_b = map(float, _grid_norms(x, y, [1.0, -1.0, b]))
     deviation = max(abs(norm_plus - nrm), abs(norm_minus - nrm))
     margin = norm_at_b - nrm
     witness = PartialIsometryWitness(y, b, norm_plus, norm_minus, norm_at_b, margin, spectral_point)
@@ -547,21 +551,13 @@ def defect_norm_identity(x: Element) -> DefectNormReport:
     (0.1, 0.5, 1, 2, 10) and the 16th roots of unity a."""
     one = Element.identity(x.shape)
     p = one - x.H @ x
-    q = x @ x.H
-    identity_dev = 0.0
-    slack = 0.0
-    orth_dev = 0.0
-    for t in _DEFECT_T_GRID:
-        reference = element_norm(q + (t * t) * p)
-        for a in _PHASES:
-            nrm = element_norm(x + (a * t) * p)
-            identity_dev = max(identity_dev, abs(nrm * nrm - reference))
-            slack = max(slack, nrm * nrm - (1.0 + t * t))
-            orth_dev = max(orth_dev, abs(nrm - max(1.0, t)))
+    t = np.array(_DEFECT_T_GRID)
+    reference = _grid_norms(x @ x.H, p, t * t)[:, None]
+    nrm = _grid_norms(x, p, (t[:, None] * _PHASES).ravel()).reshape(t.size, -1)
     return DefectNormReport(
-        identity_deviation=identity_dev,
-        inequality_slack=max(0.0, slack),
-        orthogonal_case_deviation=orth_dev,
+        identity_deviation=float(np.max(np.abs(nrm * nrm - reference))),
+        inequality_slack=max(0.0, float(np.max(nrm * nrm - (1.0 + t * t)[:, None]))),
+        orthogonal_case_deviation=float(np.max(np.abs(nrm - np.maximum(1.0, t)[:, None]))),
     )
 
 
@@ -620,12 +616,9 @@ def verify_certificate(
 
 def lumer_slopes(x: Element, alphas: tuple[float, ...] = LUMER_ALPHAS) -> dict[float, float]:
     """Signed slopes d(alpha) = (||1 + i alpha x|| - 1) / alpha for both signs."""
-    unit = Element.identity(x.shape)
-    out = {}
-    for a in alphas:
-        for signed in (a, -a):
-            out[signed] = (element_norm(unit + (1j * signed) * x) - 1.0) / signed
-    return out
+    signed = [s for a in alphas for s in (a, -a)]
+    norms = _grid_norms(Element.identity(x.shape), x, [1j * s for s in signed])
+    return {s: (float(n) - 1.0) / s for s, n in zip(signed, norms)}
 
 
 def is_self_adjoint_lumer(x: Element) -> bool:
@@ -770,11 +763,7 @@ def is_projection(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdic
 
     one = Element.identity(x.shape)
     v = 2.0 * x - one
-    symmetry = (
-        element_norm(v - v.H) <= cut
-        and element_norm(v.H @ v - one) <= cut
-        and element_norm(v @ v.H - one) <= cut
-    )
+    symmetry = element_norm(v - v.H) <= cut and is_unitary_algebraic(v, tol=tol)
 
     evidence = {
         "conditions": {

@@ -36,12 +36,16 @@ def _block_to_pairs(b: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in b.ravel()]
 
 
+def _json_numbers(values) -> bool:
+    """Every value decoded from a JSON number: an int or a float, never a bool."""
+    return set(map(type, values)) <= {int, float}
+
+
 def _pairs_to_block(pairs, n: int) -> np.ndarray:
     if len(pairs) != n * n:
         raise DocumentError(f"block for M{n} needs {n * n} entries, got {len(pairs)}")
-    # a JSON number decodes to an int or a float; bool is excluded
     pairs_ok = all(type(p) is list and len(p) == 2 for p in pairs)
-    if not (pairs_ok and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+    if not (pairs_ok and _json_numbers(chain.from_iterable(pairs))):
         raise DocumentError("matrix entries must be [re, im] pairs of JSON numbers")
     # (re, im) float64 pairs are the memory layout of complex128: the view is bit-exact
     return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(n, n)
@@ -106,11 +110,12 @@ def witness_to_doc(w: PartialIsometryWitness) -> dict:
 
 def witness_from_doc(doc) -> PartialIsometryWitness:
     try:
-        numbers = {key: float(doc[key]) for key in _WITNESS_NUMBERS}
-        bad = [key for key, value in numbers.items() if not np.isfinite(value)]
+        numbers = {key: doc[key] for key in _WITNESS_NUMBERS}
+        bad = [k for k, v in numbers.items() if not (_json_numbers([v]) and np.isfinite(float(v)))]
         if bad:
-            raise DocumentError(f"{', '.join(bad)} must be finite")
-        return PartialIsometryWitness(y=element_from_doc(doc["y"]), **numbers)
+            raise DocumentError(f"{', '.join(bad)} must be finite JSON numbers")
+        floats = {key: float(value) for key, value in numbers.items()}
+        return PartialIsometryWitness(y=element_from_doc(doc["y"]), **floats)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"malformed witness document: {exc}") from exc
 
@@ -125,6 +130,8 @@ def certificate_to_doc(cert: InvertibilityCertificate) -> dict:
 
 def certificate_from_doc(doc) -> InvertibilityCertificate:
     try:
+        if not _json_numbers([doc["epsilon"]]):
+            raise DocumentError("epsilon must be a JSON number")
         return InvertibilityCertificate(
             u=element_from_doc(doc["u"]), epsilon=float(doc["epsilon"])
         )

@@ -21,7 +21,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=np.complex128)
     if m.ndim != 2:
         raise LinalgError(f"expected a 2-d array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise LinalgError("matrix has non-finite entries")
     return m
 

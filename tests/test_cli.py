@@ -256,6 +256,39 @@ class TestCertify:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "b must be finite" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["b", "norm_plus", "norm_minus", "norm_at_b", "margin", "spectral_point"])
+    @pytest.mark.parametrize("kind", [str, bool])
+    def test_witness_numbers_are_strict(self, tmp_path, diag_half, key, kind):
+        # each of these verified with exit 0 before: float() read "8.0" and true
+        _, out, _ = run_cli("certify", diag_half, "--predicate", "partial-isometry")
+        wdoc = json.loads(out)
+        wdoc[key] = str(wdoc[key]) if kind is str else True
+        wpath = write_doc(tmp_path, "w.json", wdoc)
+        code, out, err = run_cli(
+            "certify", diag_half, "--predicate", "partial-isometry", "--verify", wpath
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"{key} must be" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("epsilon", ["1.0", True], ids=["string", "bool"])
+    def test_certificate_epsilon_is_strict(self, tmp_path, epsilon):
+        # each of these verified with exit 0 on diag(2, 1) before
+        path = write_doc(tmp_path, "x.json", documents.element_to_doc(diag_element([2.0, 1.0])))
+        _, out, _ = run_cli("certify", path, "--predicate", "invertible")
+        cdoc = json.loads(out) | {"epsilon": epsilon}
+        cpath = write_doc(tmp_path, "cert.json", cdoc)
+        code, out, err = run_cli("certify", path, "--predicate", "invertible", "--verify", cpath)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "epsilon must be" in err and err.count("\n") == 1
+
+    def test_integer_certificate_epsilon_is_a_number(self, tmp_path):
+        path = write_doc(tmp_path, "x.json", documents.element_to_doc(diag_element([2.0, 1.0])))
+        _, out, _ = run_cli("certify", path, "--predicate", "invertible")
+        cpath = write_doc(tmp_path, "cert.json", json.loads(out) | {"epsilon": 1})
+        code, out, _ = run_cli("certify", path, "--predicate", "invertible", "--verify", cpath)
+        assert code == 0
+        assert json.loads(out) == {"verified": True, "epsilon": 1.0}
+
     def test_rejected_verification_explains_itself(self, tmp_path, diag_half):
         _, out, _ = run_cli("certify", diag_half, "--predicate", "partial-isometry")
         wdoc = json.loads(out)

@@ -8,6 +8,19 @@ from opgeo import linalg
 from opgeo.errors import LinalgError
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "entry",
+        [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.0, -np.inf)],
+        ids=["nan-real", "nan-imag", "inf-real", "inf-imag"],
+    )
+    def test_rejects_non_finite_part(self, entry):
+        m = np.eye(2, dtype=np.complex128)
+        m[1, 0] = entry
+        with pytest.raises(LinalgError, match="finite"):
+            linalg.as_matrix(m)
+
+
 class TestHermitianEig:
     def test_identity(self):
         dec = linalg.hermitian_eig(np.eye(3))

@@ -241,34 +241,12 @@ def verify_witness(
 _NORM_ROUNDING = 1e-12
 
 
-def _pm_norms(x: Element, y: Element, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(||x + ay||, ||x - ay||) for every a in the real array a, one stacked
-    SVD per block."""
-    plus, minus = _grid_norms(x, y, np.concatenate([a, -a])).reshape(2, -1)
-    return plus, minus
-
-
-def _convex_floor(a: np.ndarray, f: np.ndarray, lo: int, hi: int) -> float:
-    """Lower bound on [a[lo], a[hi]] of a convex function sampled as f at the
-    increasing points a; -inf when no sample outside a step bounds it."""
-    bound = np.inf
-    for i in range(lo, hi):
-        p, q = a[i], a[i + 1]
-        lines = []  # (anchor, value, slope) of secants extended into [p, q]
-        if i >= 1:
-            lines.append((p, f[i], (f[i] - f[i - 1]) / (p - a[i - 1])))
-        if i + 2 < len(a):
-            lines.append((q, f[i + 1], (f[i + 2] - f[i + 1]) / (a[i + 2] - q)))
-        if not lines:
-            return -np.inf
-        points = [p, q]
-        if len(lines) == 2 and lines[0][2] != lines[1][2]:
-            (t0, v0, s0), (t1, v1, s1) = lines
-            points.append(min(max((v1 - v0 + s0 * t0 - s1 * t1) / (s0 - s1), p), q))
-        bound = min(
-            bound, min(max(v + s * (t - t0) for t0, v, s in lines) for t in points)
-        )
-    return float(bound)
+def _direction_norm(x: Element, y: Element) -> float:
+    """||y|| for a direction y of x's algebra; a y from another algebra
+    raises ShapeMismatchError, also when y is zero."""
+    if x.shape != y.shape:
+        raise ShapeMismatchError("elements live in different algebras")
+    return element_norm(y)
 
 
 def x1_member(x: Element, y: Element) -> bool:
@@ -278,46 +256,45 @@ def x1_member(x: Element, y: Element) -> bool:
     The target is D(a) = max(| ||x+ay|| - 1 |, | ||x-ay|| - 1 |) <= member_tol
     (1e-7) for some a on a log-grid over [1e-3, 10] / ||y|| or in the step
     bracket [grid[k-1], grid[k+1]] around the grid minimizer k.  This is a
-    harness tester, not a decision procedure.  Four stages, all on the raw
-    block arrays:
+    harness tester, not a decision procedure.
 
-    1. Grid.  Both signs at every grid point come from one stacked SVD per
-       block.
-    2. Accept.  A grid point with D <= member_tol answers True.
-    3. Reject.  F(a) = max(||x+ay||, ||x-ay||) is convex (a max of norms of
-       affine maps), and D(a) <= member_tol forces F(a) <= 1 + member_tol.
-       Secant slopes of a convex function do not decrease, so the secant
-       through two neighbouring grid samples, extended past them, lies below
-       F there.  On each bracket step the secants from the steps on either
-       side thus bound F from below.  If that bound exceeds 1 + member_tol
-       by more than the rounding of the samples and of the refinement's own
-       evaluations (_NORM_ROUNDING times F, widened by the secant's lever
-       1 + 2 * step ratio), no point of the bracket qualifies: False.
-    4. Refine.  An undecided bracket runs a golden-section search of D,
-       stopping early once D <= member_tol / 10.
+    F(a) = max(||x+ay||, ||x-ay||) is convex (a max of norms of affine maps)
+    and even in a, so it never decreases on a >= 0, and D(a) >= F(a) - 1.
+    Once F(a0) exceeds 1 + member_tol by more than the rounding of two
+    computed norms, no a >= a0 qualifies.  So the first grid point is
+    evaluated alone (both signs, one stacked SVD per block): D <= member_tol
+    there answers True, that bound on F answers False.  When ||x|| >= 1,
+    ||x+ay|| + ||x-ay|| >= 2||x|| >= 2 gives D = F - 1, so up to that
+    rounding one of the two answers follows.  Otherwise the whole grid runs
+    the same two tests, the bound taken at the left end of the bracket, and
+    an undecided bracket runs a golden-section search of D, stopping early
+    once D <= member_tol / 10.
     """
-    y_norm = element_norm(y)
+    y_norm = _direction_norm(x, y)
     if y_norm <= _NEGLIGIBLE:
         # 0 belongs to both comparison sets; admitted by continuity.
         return True
     tol = _MEMBER_TOL
 
+    def deviations(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(D, F) at every a in the real array a."""
+        plus, minus = _grid_norms(x, y, np.concatenate([a, -a])).reshape(2, -1)
+        return np.maximum(np.abs(plus - 1.0), np.abs(minus - 1.0)), np.maximum(plus, minus)
+
     def objective(a: float) -> float:
-        plus, minus = _pm_norms(x, y, np.array([a]))
-        return float(max(abs(plus[0] - 1.0), abs(minus[0] - 1.0)))
+        return float(deviations(np.array([a]))[0][0])
 
     grid = np.geomspace(_X1_RANGE[0] / y_norm, _X1_RANGE[1] / y_norm, _X1_POINTS)
-    plus, minus = _pm_norms(x, y, grid)
-    vals = np.maximum(np.abs(plus - 1.0), np.abs(minus - 1.0))
-    k = int(np.argmin(vals))
-    best = float(vals[k])
-    if best <= tol:
-        return True
-    lo, hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
-    f = np.maximum(plus, minus)
-    lever = 1.0 + 2.0 * (grid[1] / grid[0] if len(grid) > 1 else 1.0)
-    if _convex_floor(grid, f, lo, hi) > 1.0 + tol + _NORM_ROUNDING * lever * float(f.max()):
-        return False
+    for points in (grid[:1], grid):  # the first point alone, then the whole grid
+        vals, f = deviations(points)
+        k = int(np.argmin(vals))
+        best = float(vals[k])
+        if best <= tol:
+            return True
+        lo = max(k - 1, 0)
+        if f[lo] > 1.0 + tol + 2.0 * _NORM_ROUNDING * f[lo]:
+            return False
+    hi = min(k + 1, len(grid) - 1)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(grid[lo]), float(grid[hi])
@@ -342,7 +319,7 @@ def x1_member(x: Element, y: Element) -> bool:
 def _x2_deviations(x: Element, y: Element):
     """Yield max | ||x + by|| - max(1, ||by||) | over the b-grid chunk by
     chunk: the 16 phases of the largest radius, then the other radii."""
-    y_norm = element_norm(y)
+    y_norm = _direction_norm(x, y)
     if y_norm <= _NEGLIGIBLE:
         yield abs(element_norm(x) - 1.0)
         return

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import diag_element, random_complex, random_hermitian
-from opgeo import algebra, classify, documents, linalg
+from opgeo import algebra, classify, documents, harness, linalg
 from opgeo.algebra import (
     AlgebraShape,
     Element,
@@ -244,14 +244,18 @@ def seed_x1_member(x: Element, y: Element) -> bool:
 
 def _x1_corpus(shape: AlgebraShape, rng: np.random.Generator):
     """(x, y) pairs: partial isometries, norm-one non-PIs and unitaries, plus a
-    half-norm copy of one of them, against defect, random, witness and zero
-    directions and defect directions nudged off the defect corner."""
+    half-norm copy of one of them and copies scaled by 1 - delta, against
+    defect, random, witness and zero directions and defect directions nudged
+    off the defect corner."""
     xs = [
         gen_partial_isometry(shape, random_ranks(shape, rng), rng),
         gen_norm_one_non_pi(shape, rng),
         gen_unitary(shape, rng),
     ]
     xs.append(0.5 * xs[int(rng.integers(0, 3))])
+    # just below norm one: the norm gate admits these, and the first X1 point
+    # can pass the bound on F but not D, so the grid and refinement run
+    xs.extend((1.0 - delta) * xs[int(rng.integers(0, 3))] for delta in (1e-7, 5e-7, 1e-6))
     for x in xs:
         yield x, Element.zero(shape)
         yield x, _random_direction(x, rng)
@@ -306,23 +310,59 @@ class TestX1Member:
         assert x1_member(x, y)
         assert calls["svd", (2,)] > 10  # golden-section steps, one (+, -) pair each
 
-    @pytest.mark.parametrize(
-        ("delta", "expected", "refined"),
-        [(8.4e-7, True, False), (7e-7, False, True), (5e-7, False, False)],
-    )
-    def test_stages_near_the_tolerance(self, monkeypatch, delta, expected, refined):
+    @pytest.mark.parametrize(("delta", "expected"), [(8.4e-7, True), (7e-7, False), (5e-7, False)])
+    def test_stages_near_the_tolerance(self, monkeypatch, delta, expected):
         # x = sqrt(1 - delta), y = i: D(a) = |sqrt(1 - delta + a^2) - 1| vanishes
         # at a = sqrt(delta), just below the grid, so it rises from the grid's
         # first point a = 1e-3, where it is about (1e-6 - delta) / 2; the
-        # tolerance 1e-7 sits between delta = 8.4e-7 (accepted on the grid) and
-        # 5e-7 (rejected by the secant bound); in between, the refinement decides
+        # tolerance 1e-7 sits between delta = 8.4e-7 (accepted) and 7e-7
+        # (rejected), and F = D + 1 there, so that point alone decides
         x = Element.from_blocks([np.array([[np.sqrt(1.0 - delta)]])])
         y = Element.from_blocks([np.array([[1j]])])
         assert seed_x1_member(x, y) is expected
         calls = _count_linalg(monkeypatch, "svd")
         assert x1_member(x, y) is expected
-        assert calls["svd", (80,)] == 1  # the whole grid, both signs, in one SVD
-        assert (calls["svd", (2,)] > 0) is refined
+        assert calls == Counter({("svd", (2,)): 1})  # the first point, both signs; no grid
+
+    def test_norm_along_the_grid_never_decreases(self):
+        # the premise of the first-point and bracket rejects: the computed
+        # F(a) = max(||x + ay||, ||x - ay||) is nondecreasing along the X1
+        # grid up to the rounding of two computed norms
+        rng = np.random.default_rng(10)
+        for dims in [(2,), (4,), (2, 3), (8,), (16,)]:
+            shape = AlgebraShape(dims)
+            for x in (gen_ginibre(shape, rng), gen_norm_one_non_pi(shape, rng),
+                      0.5 * gen_partial_isometry(shape, random_ranks(shape, rng), rng)):
+                for y in (_random_direction(x, rng), gen_ginibre(shape, rng)):
+                    grid = np.geomspace(1e-3, 10.0, classify._X1_POINTS) / element_norm(y)
+                    f = classify._grid_norms(x, y, np.concatenate([grid, -grid])).reshape(2, -1).max(axis=0)
+                    floor = np.maximum.accumulate(f)[:-1]
+                    assert np.all(f[1:] >= floor - 2.0 * classify._NORM_ROUNDING * floor)
+
+    def test_norm_one_inputs_stop_at_the_first_point(self, tmp_path, monkeypatch):
+        # ||x|| >= 1 gives D = F - 1, so on the norm-one inputs of the routes
+        # and of the harness the first point decides every X1 call
+        calls = _count_linalg(monkeypatch, "svd")
+        seen = []
+        original = classify.x1_member
+
+        def recorded(x, y):
+            calls.clear()
+            got = original(x, y)
+            seen.append((dict(calls), {("svd", (2,)): len(x.blocks)}))
+            return got
+
+        for module in (classify, harness):
+            monkeypatch.setattr(module, "x1_member", recorded)
+        for dims in [(6,), (2, 3)]:
+            for x in _small_ops_mix(AlgebraShape(dims), np.random.default_rng(sum(dims))).values():
+                path = tmp_path / "x.json"
+                path.write_text(json.dumps(documents.element_to_doc(x)))
+                with redirect_stdout(io.StringIO()):
+                    assert main(["classify", str(path), "--unit"]) == 0
+        assert harness.run_suite(harness.TrialConfig(trials=8)).all_passed
+        assert len(seen) > 100
+        assert all(got == expected for got, expected in seen)
 
     def test_classify_linalg_call_budget(self, tmp_path, monkeypatch):
         # one M6 rank-3 partial isometry; the Element-based X1 search made 2020
@@ -333,6 +373,9 @@ class TestX1Member:
         with redirect_stdout(io.StringIO()):
             assert main(["classify", str(path), "--unit"]) == 0
         assert sum(calls.values()) <= 88
+        # matrices decomposed, a stack counting each of its matrices: 2446 while
+        # every X1 call took the 80-matrix grid
+        assert sum(n * int(np.prod(stack)) for (_, stack), n in calls.items()) <= 1432
 
 
 def _small_ops_mix(shape: AlgebraShape, rng: np.random.Generator) -> dict:
@@ -585,13 +628,14 @@ class TestNormSweeps:
     )
     @pytest.mark.parametrize("tester", [x1_member, x2_member, x2_deviation])
     def test_direction_of_another_algebra_raises(self, tester, x_dims, y_dims):
-        # at the parent the testers answered from the shared blocks, or let
-        # numpy's broadcast error escape
+        # the testers once answered from the shared blocks, let numpy's
+        # broadcast error escape, or took a zero y's shortcut unchecked
         rng = np.random.default_rng(17)
         x = gen_norm_one_non_pi(AlgebraShape(x_dims), rng)
         y = _random_direction(gen_ginibre(AlgebraShape(y_dims), rng), rng)
-        with pytest.raises(ShapeMismatchError):
-            tester(x, y)
+        for direction in (y, Element.zero(y.shape)):
+            with pytest.raises(ShapeMismatchError):
+                tester(x, direction)
 
 
 class TestPartialIsometryVerdicts:

@@ -371,43 +371,42 @@ def _random_direction(x: Element, rng: np.random.Generator) -> Element:
     return (1.0 / element_norm(y)) * y
 
 
-def is_partial_isometry_geometric(
-    x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Verdict:
+def _sampled_directions(x: Element, rng: np.random.Generator, with_random: bool):
+    """_N_DIRECTIONS rounds, drawn on demand: the defect direction when it is
+    nonzero, then, with_random, a random direction."""
+    for _ in range(_N_DIRECTIONS):
+        y = _defect_direction(x, rng)
+        if y is not None:
+            yield y
+        if with_random:
+            yield _random_direction(x, rng)
+
+
+def is_partial_isometry_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Geometric route: no witness exists and the two comparison-set testers
     agree on sampled directions (defect corner and random, drawn from
     default_rng(0))."""
-    rng = np.random.default_rng(0)
-    algebraic = is_partial_isometry_algebraic(x, tol=tol)
-    witness = construct_witness(x, tol=tol)
+    return _pi_verdict(x, is_partial_isometry_algebraic(x, tol=tol), construct_witness(x, tol=tol), tol)
+
+
+def _pi_verdict(x: Element, pi: bool, witness: PartialIsometryWitness | None, tol: Tolerances) -> Verdict:
     evidence: dict = {}
     if witness is not None:
         evidence["witness"] = witness
         geometric = False
     else:
-        equivalent = True
-        checked = 0
-        for _ in range(_N_DIRECTIONS):
-            y = _defect_direction(x, rng)
-            if y is not None:
-                checked += 1
-                if x1_member(x, y) != x2_member(x, y):
-                    equivalent = False
-                    break
-            y = _random_direction(x, rng)
-            checked += 1
+        geometric, checked = True, 0
+        directions = _sampled_directions(x, np.random.default_rng(0), with_random=True)
+        for checked, y in enumerate(directions, 1):
             if x1_member(x, y) != x2_member(x, y):
-                equivalent = False
+                geometric = False
                 break
         evidence["directions_checked"] = checked
-        geometric = equivalent
-    return Verdict("partial_isometry", algebraic, geometric, evidence, tol.as_dict())
+    return Verdict("partial_isometry", pi, geometric, evidence, tol.as_dict())
 
 
 def is_extreme_point(
-    x: Element,
-    rng: np.random.Generator | None = None,
-    *, tol: Tolerances = DEFAULT_TOLERANCES,
+    x: Element, rng: np.random.Generator | None = None, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> Verdict:
     """Extreme points of the unit ball: no symmetric perturbation survives.
 
@@ -419,26 +418,19 @@ def is_extreme_point(
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     pi = is_partial_isometry_algebraic(x, tol=tol)
+    return _extreme_verdict(x, pi, construct_witness(x, tol=tol), rng, tol)
+
+
+def _extreme_verdict(
+    x: Element, pi: bool, witness: PartialIsometryWitness | None, rng: np.random.Generator, tol: Tolerances
+) -> Verdict:
     full_support = all(
         float(np.max(np.abs(1.0 - r.singular_values**2))) <= tol.classification for r in x.svds
     )
-    algebraic = pi and full_support
-
-    witness = construct_witness(x, tol=tol)
-    evidence: dict = {}
-    if witness is not None:
-        evidence["witness"] = witness
-        geometric = False
-    else:
-        geometric = True
-        for _ in range(_N_DIRECTIONS):
-            y = _defect_direction(x, rng)
-            if y is None:
-                continue
-            if x1_member(x, y):
-                geometric = False
-                break
-    return Verdict("extreme_point", algebraic, geometric, evidence, tol.as_dict())
+    evidence = {} if witness is None else {"witness": witness}
+    directions = _sampled_directions(x, rng, with_random=False)
+    geometric = witness is None and not any(x1_member(x, y) for y in directions)
+    return Verdict("extreme_point", pi and full_support, geometric, evidence, tol.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +578,15 @@ def verify_certificate(
     return result.value >= cert.epsilon - tol.equality
 
 
+def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
+    """sigma_min > tol.classification against the certificate, re-checked."""
+    cert = invertibility_certificate(x, tol=tol)
+    sigma_min = element_min_singular_value(x)
+    geometric = cert is not None and verify_certificate(x, cert, tol=tol)
+    evidence = {"sigma_min": sigma_min} | ({} if cert is None else {"certificate": cert})
+    return Verdict("invertible", sigma_min > tol.classification, geometric, evidence, tol.as_dict())
+
+
 # ---------------------------------------------------------------------------
 # unit-dependent predicates: the unit of a direct sum of matrix algebras is
 # unique, the blockwise identity, and each route below builds it
@@ -658,6 +659,13 @@ def is_self_adjoint_states(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) 
     )
 
 
+def _self_adjoint_verdict(x: Element, herm_dev: float, tol: Tolerances) -> Verdict:
+    """herm_dev = ||x - x*|| within tol.classification against the Lumer and state routes."""
+    lumer, states = is_self_adjoint_lumer(x), is_self_adjoint_states(x, tol=tol)
+    evidence = {"lumer": lumer, "states": states}
+    return Verdict("self_adjoint", herm_dev <= tol.classification, lumer and states, evidence, tol.as_dict())
+
+
 def recover_adjoint(x: Element) -> Element:
     """Recover x* from norm data alone: x = h + ik with h, k self-adjoint,
     and x* = h - ik.
@@ -692,11 +700,12 @@ def is_positive(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     Hermitian residual ||x - x*|| is compared with tol.classification,
     eigenvalues and state values with tol.equality.
     """
-    herm_dev = element_norm(x - x.H)
-    lam_min = np.inf
-    min_re = np.inf
-    max_im = 0.0
-    spanning_max_im = 0.0
+    return _positive_verdict(x, element_norm(x - x.H), tol)
+
+
+def _positive_verdict(x: Element, herm_dev: float, tol: Tolerances) -> Verdict:
+    lam_min = min_re = np.inf
+    max_im = spanning_max_im = 0.0
     for b in x.blocks:
         n = b.shape[0]
         eigvals, h_states = np.linalg.eigh(0.5 * (b + b.conj().T))
@@ -718,11 +727,7 @@ def is_positive(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
         "lambda_min": lam_min,
         "state_min_real": min_re,
         "state_max_imag": max_im,
-        "conditions": {
-            "spectral": spectral,
-            "states": state_route,
-            "norm_shift": norm_route,
-        },
+        "conditions": {"spectral": spectral, "states": state_route, "norm_shift": norm_route},
         "unanimous": spectral == state_route == norm_route,
     }
     return Verdict("positive", spectral, state_route and norm_route, evidence, tol.as_dict())
@@ -732,16 +737,20 @@ def is_projection(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdic
     """Three-route projection test: idempotent-Hermitian oracle, positive
     partial isometry, and the symmetry x = (1 + v)/2 with v self-adjoint
     unitary, each residual within tol.classification."""
+    herm_dev = element_norm(x - x.H)
+    positive = _positive_verdict(x, herm_dev, tol)
+    return _projection_verdict(x, is_partial_isometry_algebraic(x, tol=tol), herm_dev, positive, tol)
+
+
+def _projection_verdict(x: Element, pi: bool, herm_dev: float, pos: Verdict, tol: Tolerances) -> Verdict:
+    """v = 2x - 1 has v - v* = 2(x - x*) bit for bit, so the symmetry reads
+    2 herm_dev: doubling is exact, and the real unit leaves the imaginary
+    diagonal alone."""
     cut = tol.classification
-    oracle = element_norm(x @ x - x) <= cut and element_norm(x - x.H) <= cut
-
-    pos = is_positive(x, tol=tol)
-    pi_and_positive = is_partial_isometry_algebraic(x, tol=tol) and pos.algebraic and pos.geometric
-
-    one = Element.identity(x.shape)
-    v = 2.0 * x - one
-    symmetry = element_norm(v - v.H) <= cut and is_unitary_algebraic(v, tol=tol)
-
+    oracle = element_norm(x @ x - x) <= cut and herm_dev <= cut
+    pi_and_positive = pi and pos.algebraic and pos.geometric
+    v = 2.0 * x - Element.identity(x.shape)
+    symmetry = 2.0 * herm_dev <= cut and is_unitary_algebraic(v, tol=tol)
     evidence = {
         "conditions": {
             "idempotent_hermitian": oracle,
@@ -751,3 +760,37 @@ def is_projection(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdic
         "unanimous": oracle == pi_and_positive == symmetry,
     }
     return Verdict("projection", oracle, pi_and_positive and symmetry, evidence, tol.as_dict())
+
+
+# ---------------------------------------------------------------------------
+# one classify pass
+
+
+def classify_all(
+    x: Element, *, unit: bool, tol: Tolerances = DEFAULT_TOLERANCES
+) -> dict[str, Verdict | str]:
+    """Each predicate, in report order, mapped to its verdict or to the reason
+    its norm-one route does not apply; self-adjoint, positive and projection
+    only when unit.  The PI oracle, the witness, ||x - x*|| and the
+    positivity verdict are computed once each, where the standalone routes
+    run in this order first would (off norm one, the PI oracle waits for the
+    projection route).  The zero element raises DegenerateInputError."""
+    _, off = norm_one_gate(x, tol=tol)
+    verdicts: dict[str, Verdict | str] = {}
+    pi = None
+    if off is None:
+        pi = is_partial_isometry_algebraic(x, tol=tol)
+        witness = construct_witness(x, tol=tol)
+        verdicts["partial_isometry"] = _pi_verdict(x, pi, witness, tol)
+        verdicts["unitary"] = is_unitary_geometric(x, tol=tol)
+        verdicts["extreme_point"] = _extreme_verdict(x, pi, witness, np.random.default_rng(0), tol)
+    else:
+        verdicts.update(dict.fromkeys(("partial_isometry", "unitary", "extreme_point"), off))
+    verdicts["invertible"] = _invertible_verdict(x, tol)
+    if unit:
+        herm_dev = element_norm(x - x.H)
+        verdicts["self_adjoint"] = _self_adjoint_verdict(x, herm_dev, tol)
+        positive = verdicts["positive"] = _positive_verdict(x, herm_dev, tol)
+        pi = is_partial_isometry_algebraic(x, tol=tol) if pi is None else pi
+        verdicts["projection"] = _projection_verdict(x, pi, herm_dev, positive, tol)
+    return verdicts

@@ -15,24 +15,16 @@ import numpy as np
 
 import opgeo
 from opgeo import documents
-from opgeo.algebra import Element, element_norm
+# bench/test_bench.py asserts opgeo.cli.element_norm, a name the benchmark's tracer rebinds
+from opgeo.algebra import AlgebraShape, element_norm  # noqa: F401
 from opgeo.classify import (
     Tolerances,
+    classify_all,
     construct_witness,
-    element_min_singular_value,
     invertibility_certificate,
-    is_extreme_point,
-    is_partial_isometry_geometric,
-    is_positive,
-    is_projection,
-    is_self_adjoint_lumer,
-    is_self_adjoint_states,
-    is_unitary_geometric,
-    norm_one_gate,
+    recover_adjoint,
     verify_certificate,
     verify_witness,
-    recover_adjoint,
-    Verdict,
 )
 from opgeo.errors import (
     LinalgError,
@@ -41,7 +33,6 @@ from opgeo.errors import (
     ShapeMismatchError,
 )
 from opgeo.harness import ALL_SUITES, DEFAULT_SHAPES, MAX_BLOCK_DIM, TrialConfig, run_suite
-from opgeo.algebra import AlgebraShape
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,52 +70,13 @@ def _unit_requested(args, doc) -> bool:
     return args.unit or doc.get("unit_identified", False)
 
 
-def _self_adjoint_verdict(x: Element, tol: Tolerances) -> Verdict:
-    algebraic = element_norm(x - x.H) <= tol.classification
-    lumer = is_self_adjoint_lumer(x)
-    states = is_self_adjoint_states(x, tol=tol)
-    return Verdict(
-        "self_adjoint",
-        algebraic,
-        lumer and states,
-        {"lumer": lumer, "states": states},
-        tol.as_dict(),
-    )
-
-
-def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
-    cert = invertibility_certificate(x, tol=tol)
-    sigma_min = element_min_singular_value(x)
-    algebraic = sigma_min > tol.classification
-    geometric = cert is not None and verify_certificate(x, cert, tol=tol)
-    evidence = {"sigma_min": sigma_min}
-    if cert is not None:
-        evidence["certificate"] = cert
-    return Verdict("invertible", algebraic, geometric, evidence, tol.as_dict())
-
-
 def cmd_classify(args) -> int:
     x, doc, raw = documents.load_element(args.input)
     tol = args.tolerances
-    _, off = norm_one_gate(x, tol=tol)
-    # the sampled routes draw from fixed streams and is_positive reads eigenstates:
-    # each route's evidence depends on x alone
-
-    verdicts = []
-    if off is None:
-        verdicts.append(documents.verdict_to_doc(is_partial_isometry_geometric(x, tol=tol)))
-        verdicts.append(documents.verdict_to_doc(is_unitary_geometric(x, tol=tol)))
-        verdicts.append(documents.verdict_to_doc(is_extreme_point(x, tol=tol)))
-    else:
-        for name in ("partial_isometry", "unitary", "extreme_point"):
-            verdicts.append(documents.not_applicable_doc(name, off))
-    verdicts.append(documents.verdict_to_doc(_invertible_verdict(x, tol)))
-
-    if _unit_requested(args, doc):
-        verdicts.append(documents.verdict_to_doc(_self_adjoint_verdict(x, tol)))
-        verdicts.append(documents.verdict_to_doc(is_positive(x, tol=tol)))
-        verdicts.append(documents.verdict_to_doc(is_projection(x, tol=tol)))
-
+    verdicts = [
+        documents.not_applicable_doc(name, v) if isinstance(v, str) else documents.verdict_to_doc(v)
+        for name, v in classify_all(x, unit=_unit_requested(args, doc), tol=tol).items()
+    ]
     report = {
         "tool": "opgeo",
         "version": opgeo.__version__,

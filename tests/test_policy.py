@@ -14,6 +14,7 @@ CONFIG_CLASSES = {"Tolerances"}
 OPERANDS = {"x", "y", "w", "cert"}
 #: other parameters, each with a caller that needs a value of its own
 SETTINGS_ALLOWED = {
+    ("classify_all", "unit"): "cmd_classify passes --unit or the document's unit_identified",
     ("is_extreme_point", "rng"): "harness T1X draws directions from its per-trial stream",
     ("lumer_slopes", "alphas"): (
         "is_self_adjoint_lumer passes alpha / max(1, ||x||); acceptance criterion 6 reads alpha = 1e-3"
@@ -109,3 +110,16 @@ def test_a_taken_tol_is_read():
             if "tol" not in names:
                 unread.append(fn.name)
     assert unread == []
+
+
+def test_cli_assembles_no_verdict():
+    # verdicts are assembled in opgeo.classify alone: cli.py builds no
+    # Verdict and calls no route, it prints what classify_all returns
+    tree = ast.parse((SRC / "cli.py").read_text())
+    offending = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "opgeo.classify":
+            offending += [a.name for a in node.names if a.name.startswith("is_") or a.name == "Verdict"]
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Verdict":
+            offending.append(f"Verdict(...) at line {node.lineno}")
+    assert offending == []

@@ -5,12 +5,14 @@ adjoints) and a geometric route (built from norms and norming functionals
 only).  Non-partial-isometries are refuted by an explicit witness element;
 invertibles are certified by a unitary together with a spectral gap; the
 unitary route reads the norming span off a construction.  Where no witness
-exists, the partial-isometry route decides by comparing the membership
-testers of its two comparison sets on sampled directions, and the
-extreme-point route by testing sampled defect directions against X1:
-diag(1, 0.9995, 0) in M3 has no witness (no singular value lies in
-[gap, 1 - gap]), and both routes say False after one direction.  The
-directions come from a fixed stream, so a verdict depends on x alone.
+exists, the partial-isometry and extreme-point routes read the same defect
+probes: directions from the corner (1 - xx*) A (1 - x*x), each with its X1
+answer.  The partial-isometry route compares each X1 answer with X2's, the
+extreme-point route asks whether any probe lies in X1: diag(1, 0.9995, 0)
+in M3 has no witness (no singular value lies in [gap, 1 - gap]), and both
+routes say False on the first probe.  The probes come from a fixed stream,
+so a verdict depends on x alone.  The extreme points of the unit ball are
+the unitaries, so the extreme-point oracle is the unitary oracle.
 
 Every public classifier takes its operands and, when it reads a
 tolerance, the keyword-only `tol`; the witness function, the grids and the
@@ -87,7 +89,7 @@ _PHASES = np.exp(1j * np.pi * np.arange(16) / 8.0)
 _B_GRID = np.logspace(-3.0, 3.0, 13)[:, None] * _PHASES[None, :]
 #: a direction belongs to X1 / X2 when its deviation is at most this
 _MEMBER_TOL = 1e-7
-#: sampled directions of the partial-isometry and extreme-point routes
+#: defect-corner draws behind the probes of the partial-isometry and extreme-point routes
 _N_DIRECTIONS = 6
 #: the t of the defect audit
 _DEFECT_T_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -371,34 +373,36 @@ def _random_direction(x: Element, rng: np.random.Generator) -> Element:
     return (1.0 / element_norm(y)) * y
 
 
-def _sampled_directions(x: Element, rng: np.random.Generator, with_random: bool):
-    """_N_DIRECTIONS rounds, drawn on demand: the defect direction when it is
-    nonzero, then, with_random, a random direction."""
+def _defect_probes(x: Element, rng: np.random.Generator):
+    """(y, x1_member(x, y)) for each nonzero defect direction y among
+    _N_DIRECTIONS draws from rng, drawn on demand."""
     for _ in range(_N_DIRECTIONS):
         y = _defect_direction(x, rng)
         if y is not None:
-            yield y
-        if with_random:
-            yield _random_direction(x, rng)
+            yield y, x1_member(x, y)
 
 
 def is_partial_isometry_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Geometric route: no witness exists and the two comparison-set testers
-    agree on sampled directions (defect corner and random, drawn from
-    default_rng(0))."""
-    return _pi_verdict(x, is_partial_isometry_algebraic(x, tol=tol), construct_witness(x, tol=tol), tol)
+    agree on the defect probes drawn from default_rng(0).  A direction y
+    meets X1 only where the norming face of x nearly annihilates it, so the
+    probes come from the defect corner (1 - xx*) A (1 - x*x); a unitary has
+    none, and `directions_checked` reads 0."""
+    pi = is_partial_isometry_algebraic(x, tol=tol)
+    return _pi_verdict(x, pi, construct_witness(x, tol=tol), _defect_probes(x, np.random.default_rng(0)), tol)
 
 
-def _pi_verdict(x: Element, pi: bool, witness: PartialIsometryWitness | None, tol: Tolerances) -> Verdict:
+def _pi_verdict(
+    x: Element, pi: bool, witness: PartialIsometryWitness | None, probes, tol: Tolerances
+) -> Verdict:
     evidence: dict = {}
     if witness is not None:
         evidence["witness"] = witness
         geometric = False
     else:
         geometric, checked = True, 0
-        directions = _sampled_directions(x, np.random.default_rng(0), with_random=True)
-        for checked, y in enumerate(directions, 1):
-            if x1_member(x, y) != x2_member(x, y):
+        for checked, (y, in_x1) in enumerate(probes, 1):
+            if in_x1 != x2_member(x, y):
                 geometric = False
                 break
         evidence["directions_checked"] = checked
@@ -410,27 +414,23 @@ def is_extreme_point(
 ) -> Verdict:
     """Extreme points of the unit ball: no symmetric perturbation survives.
 
-    Algebraic route: partial isometry with a full support on one side in
-    every block (forces unitary blocks here): ||1 - bb*|| = ||1 - b*b|| =
-    max_i |1 - sigma_i^2| from x.svds.  Geometric route: no witness and
-    every sampled nonzero defect direction fails the X1 test.  The
-    directions come from rng, default_rng(0) when None.
+    In a direct sum of full matrix algebras the extreme points of the unit
+    ball are exactly the unitaries (Kadison, Isometries of operator
+    algebras, Ann. Math. 1951), so the algebraic route is the unitary
+    oracle `is_unitary_algebraic`.  Geometric route: no witness and no
+    defect probe lies in X1.  The probes come from rng, default_rng(0)
+    when None.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pi = is_partial_isometry_algebraic(x, tol=tol)
-    return _extreme_verdict(x, pi, construct_witness(x, tol=tol), rng, tol)
+    probes = _defect_probes(x, rng if rng is not None else np.random.default_rng(0))
+    return _extreme_verdict(is_unitary_algebraic(x, tol=tol), construct_witness(x, tol=tol), probes, tol)
 
 
 def _extreme_verdict(
-    x: Element, pi: bool, witness: PartialIsometryWitness | None, rng: np.random.Generator, tol: Tolerances
+    unitary: bool, witness: PartialIsometryWitness | None, probes, tol: Tolerances
 ) -> Verdict:
-    full_support = all(
-        float(np.max(np.abs(1.0 - r.singular_values**2))) <= tol.classification for r in x.svds
-    )
     evidence = {} if witness is None else {"witness": witness}
-    directions = _sampled_directions(x, rng, with_random=False)
-    geometric = witness is None and not any(x1_member(x, y) for y in directions)
-    return Verdict("extreme_point", pi and full_support, geometric, evidence, tol.as_dict())
+    geometric = witness is None and not any(in_x1 for _, in_x1 in probes)
+    return Verdict("extreme_point", unitary, geometric, evidence, tol.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +457,15 @@ def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) ->
     `_hermitian_from_states` inverts the state table.  The evidence reports
     max |f_v(x) - 1| and the frame deviations ||W_J* W_J - 1||,
     ||V_J* V_J - 1||.  Elements of norm != 1 have an empty norming set in
-    this sense and are geometrically non-unitary.
+    this sense and are geometrically non-unitary, with the reason of
+    `norm_one_gate`; the zero element raises DegenerateInputError.
     """
+    _, off = norm_one_gate(x, tol=tol)
     algebraic = is_unitary_algebraic(x, tol=tol)
     dual_dim = x.shape.dual_dimension
     evidence: dict = {"dual_dimension": dual_dim}
-    nrm = x.norm
-    if abs(nrm - 1.0) > tol.classification:
-        evidence["reason"] = f"norm {nrm!r} is not 1; norming set empty"
+    if off:
+        evidence["reason"] = off
         return Verdict("unitary", algebraic, False, evidence, tol.as_dict())
     desc = norming_set(x, tol.classification)
     evidence["span_dim"] = desc.span_dim
@@ -781,9 +782,10 @@ def classify_all(
     if off is None:
         pi = is_partial_isometry_algebraic(x, tol=tol)
         witness = construct_witness(x, tol=tol)
-        verdicts["partial_isometry"] = _pi_verdict(x, pi, witness, tol)
-        verdicts["unitary"] = is_unitary_geometric(x, tol=tol)
-        verdicts["extreme_point"] = _extreme_verdict(x, pi, witness, np.random.default_rng(0), tol)
+        probes = list(_defect_probes(x, np.random.default_rng(0))) if witness is None else []
+        verdicts["partial_isometry"] = _pi_verdict(x, pi, witness, probes, tol)
+        unitary = verdicts["unitary"] = is_unitary_geometric(x, tol=tol)
+        verdicts["extreme_point"] = _extreme_verdict(unitary.algebraic, witness, probes, tol)
     else:
         verdicts.update(dict.fromkeys(("partial_isometry", "unitary", "extreme_point"), off))
     verdicts["invertible"] = _invertible_verdict(x, tol)

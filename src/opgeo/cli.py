@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 input error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -95,13 +94,8 @@ def cmd_certify(args) -> int:
 
     if args.predicate == "invertible":
         if args.verify:
-            try:
-                with open(args.verify, "rb") as fh:
-                    cert_doc = json.loads(fh.read())
-                cert = documents.certificate_from_doc(cert_doc)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INPUT
+            with open(args.verify, "rb") as fh:
+                cert = documents.certificate_from_doc(documents.decode_json(fh.read()))
             accepted = verify_certificate(x, cert, tol=tol)
             print(documents.dumps({"verified": accepted, "epsilon": cert.epsilon}))
             if not accepted:
@@ -116,13 +110,8 @@ def cmd_certify(args) -> int:
 
     # partial-isometry: the witness refutes membership
     if args.verify:
-        try:
-            with open(args.verify, "rb") as fh:
-                wdoc = json.loads(fh.read())
-            w = documents.witness_from_doc(wdoc)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        with open(args.verify, "rb") as fh:
+            w = documents.witness_from_doc(documents.decode_json(fh.read()))
         verified, margin, deviation = verify_witness(x, w, tol=tol)
         print(documents.dumps({"verified": verified, "margin": margin, "deviation": deviation}))
         if not verified:

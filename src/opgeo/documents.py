@@ -83,6 +83,14 @@ def element_from_doc(doc) -> Element:
         raise DocumentError(str(exc)) from exc
 
 
+def decode_json(raw: bytes):
+    """The JSON value of raw; malformed JSON or text encoding raises DocumentError."""
+    try:
+        return json.loads(raw)
+    except ValueError as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from exc
+
+
 def load_element(path: str) -> tuple[Element, dict, bytes]:
     """Read an operator document; returns (element, document, raw bytes)."""
     if path == "-":
@@ -92,10 +100,7 @@ def load_element(path: str) -> tuple[Element, dict, bytes]:
     else:
         with open(path, "rb") as fh:
             raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # malformed JSON or text encoding
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+    doc = decode_json(raw)
     return element_from_doc(doc), doc, raw
 
 

@@ -244,6 +244,16 @@ class TestCertify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe", None], ids=["syntax", "encoding", "absent"])
+    @pytest.mark.parametrize("predicate", ["invertible", "partial-isometry"])
+    def test_unreadable_verify_file_exits_2(self, tmp_path, diag_half, predicate, raw):
+        vpath = tmp_path / "evidence.json"
+        if raw is not None:
+            vpath.write_bytes(raw)
+        code, out, err = run_cli("certify", diag_half, "--predicate", predicate, "--verify", str(vpath))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON: " if raw else "error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
     def test_non_finite_witness_number_exits_2(self, tmp_path, diag_half, value):
         _, out, _ = run_cli("certify", diag_half, "--predicate", "partial-isometry")

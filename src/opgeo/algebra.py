@@ -5,6 +5,8 @@ norm across blocks.  Its dual is carried on the same block structure via
 the trace pairing f(x) = sum_i tr(a_i x_i), with dual norm the sum of
 block trace norms.  The face of the dual ball exposed by a norm-one
 element x is parameterized exactly through the block SVD frames of x.
+`Tolerances`, the one tolerance policy of the package, is defined here, the
+lowest layer that reads it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,34 @@ import numpy as np
 from opgeo import linalg
 from opgeo.errors import PreconditionError, ShapeMismatchError
 
-ACTIVE_THRESHOLD = 1e-6
 BORDERLINE_THRESHOLD = 1e-4
 #: singular values below this times the largest do not count toward a rank
 SPAN_RANK_TOL = 1e-7
-#: ||u*u - 1|| up to which min_real_over_norming accepts u as unitary
-UNITARY_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The one tolerance policy.  `equality`: two computed quantities that
+    agree in exact arithmetic count as equal.  `classification`: a measured
+    deviation decides a predicate."""
+
+    equality: float = 1e-8
+    classification: float = 1e-6
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
+        if not self.equality <= self.classification:
+            raise ValueError(
+                f"tolerances must be ordered equality <= classification, got {self.as_dict()}"
+            )
+
+    def as_dict(self) -> dict:
+        return {"equality": self.equality, "classification": self.classification}
+
+
+DEFAULT_TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -200,29 +224,31 @@ class NormingSetDescription:
         return tuple(i for i, j in enumerate(self.unit_indices) if j)
 
 
-def norming_set(x: Element, tol: float = ACTIVE_THRESHOLD) -> NormingSetDescription:
+def norming_set(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> NormingSetDescription:
     """Describe the set of functionals with f(x) = ||f|| = 1.
 
-    Requires ||x|| = 1 within `tol`.  A block participates iff its operator
-    norm is within `tol` of one; within a participating block only the
-    singular directions with sigma >= 1 - tol carry dual mass.  Singular
-    values in the borderline band [1 - 1e-4, 1 - tol) are surfaced as
-    warnings because the span dimension is discontinuous there.
+    With c = tol.classification: requires ||x|| = 1 within c.  A block
+    participates iff its operator norm is within c of one; within a
+    participating block only the singular directions with sigma >= 1 - c
+    carry dual mass.  Singular values in the borderline band
+    [1 - 1e-4, 1 - c) are surfaced as warnings because the span dimension
+    is discontinuous there.
     """
+    cut = tol.classification
     nrm = x.norm
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > cut:
         raise PreconditionError(f"norming_set requires ||x|| = 1, got {nrm!r}")
     unit_indices = []
     warnings = []
     for i, res in enumerate(x.svds):
         s = res.singular_values
-        borderline = np.where((s >= 1.0 - BORDERLINE_THRESHOLD) & (s < 1.0 - tol))[0]
+        borderline = np.where((s >= 1.0 - BORDERLINE_THRESHOLD) & (s < 1.0 - cut))[0]
         if borderline.size:
             warnings.append(
                 f"block {i}: singular values {s[borderline].tolist()} are within "
-                f"[1-{BORDERLINE_THRESHOLD:.0e}, 1-{tol:.0e}) of the activity cliff"
+                f"[1-{BORDERLINE_THRESHOLD:.0e}, 1-{cut:.0e}) of the activity cliff"
             )
-        unit_indices.append(tuple(int(j) for j in np.where(s >= 1.0 - tol)[0]))
+        unit_indices.append(tuple(int(j) for j in np.where(s >= 1.0 - cut)[0]))
     return NormingSetDescription(x, tuple(unit_indices), tuple(warnings))
 
 
@@ -276,18 +302,22 @@ class NormingMinimum:
     hermitian_residual: float
 
 
-def min_real_over_norming(u: Element, x: Element, unitary_tol: float = UNITARY_TOL) -> NormingMinimum:
+def min_real_over_norming(
+    u: Element, x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES
+) -> NormingMinimum:
     """inf of Re f(x) over functionals norming the unitary u.
 
-    Equals the min over blocks of the smallest eigenvalue of the Hermitian
-    part of x u*; the Hermitian residual max_i ||(xu*)_i - (xu*)_i*|| is
-    reported alongside (it vanishes exactly when all f(x) are real).
+    u counts as unitary when ||u*u - 1|| <= tol.equality on every block.
+    The infimum equals the min over blocks of the smallest eigenvalue of
+    the Hermitian part of x u*; the Hermitian residual
+    max_i ||(xu*)_i - (xu*)_i*|| is reported alongside (it vanishes exactly
+    when all f(x) are real).
     """
     if u.shape != x.shape:
         raise ShapeMismatchError("unitary and element shapes differ")
     for b in u.blocks:
         dev = linalg.operator_norm(b.conj().T @ b - np.eye(b.shape[0]))
-        if dev > unitary_tol:
+        if dev > tol.equality:
             raise PreconditionError(f"u is not unitary: ||u*u - 1|| = {dev:.3e}")
     value = np.inf
     resid = 0.0

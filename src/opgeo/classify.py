@@ -27,9 +27,11 @@ import numpy as np
 
 from opgeo import linalg
 from opgeo.algebra import (
+    DEFAULT_TOLERANCES,
     Element,
     Functional,
     NormingMinimum,
+    Tolerances,
     element_norm,
     evaluate,
     min_real_over_norming,
@@ -43,30 +45,6 @@ from opgeo.errors import (
     ShapeMismatchError,
 )
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The one tolerance policy.  `equality`: two computed quantities that
-    agree in exact arithmetic count as equal.  `classification`: a measured
-    deviation decides a predicate."""
-
-    equality: float = 1e-8
-    classification: float = 1e-6
-
-    def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
-        if not self.equality <= self.classification:
-            raise ValueError(
-                f"tolerances must be ordered equality <= classification, got {self.as_dict()}"
-            )
-
-    def as_dict(self) -> dict:
-        return {"equality": self.equality, "classification": self.classification}
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 #: a norm at or below this counts as zero
 _NEGLIGIBLE = 1e-12
@@ -409,19 +387,16 @@ def _pi_verdict(
     return Verdict("partial_isometry", pi, geometric, evidence, tol.as_dict())
 
 
-def is_extreme_point(
-    x: Element, rng: np.random.Generator | None = None, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Verdict:
+def is_extreme_point(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Extreme points of the unit ball: no symmetric perturbation survives.
 
     In a direct sum of full matrix algebras the extreme points of the unit
     ball are exactly the unitaries (Kadison, Isometries of operator
     algebras, Ann. Math. 1951), so the algebraic route is the unitary
     oracle `is_unitary_algebraic`.  Geometric route: no witness and no
-    defect probe lies in X1.  The probes come from rng, default_rng(0)
-    when None.
+    defect probe lies in X1, the probes drawn from default_rng(0).
     """
-    probes = _defect_probes(x, rng if rng is not None else np.random.default_rng(0))
+    probes = _defect_probes(x, np.random.default_rng(0))
     return _extreme_verdict(is_unitary_algebraic(x, tol=tol), construct_witness(x, tol=tol), probes, tol)
 
 
@@ -467,7 +442,7 @@ def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) ->
     if off:
         evidence["reason"] = off
         return Verdict("unitary", algebraic, False, evidence, tol.as_dict())
-    desc = norming_set(x, tol.classification)
+    desc = norming_set(x, tol=tol)
     evidence["span_dim"] = desc.span_dim
     evidence["warnings"] = list(desc.warnings)
     value_dev = left_dev = right_dev = 0.0
@@ -490,7 +465,7 @@ def norming_annihilates_defect(
 ) -> float:
     """max over sampled norming functionals of |f(1 - x*x)| for a partial
     isometry x; vanishes because dual mass sits on the unit singular frame."""
-    desc = norming_set(x, tol.classification)
+    desc = norming_set(x, tol=tol)
     defect = Element.identity(x.shape) - x.H @ x
     worst = 0.0
     for _ in range(samples):
@@ -571,7 +546,7 @@ def verify_certificate(
     if cert.u.shape != x.shape:
         raise MalformedCertificateError("certificate unitary has mismatched block structure")
     try:
-        result: NormingMinimum = min_real_over_norming(cert.u, x, unitary_tol=tol.equality)
+        result: NormingMinimum = min_real_over_norming(cert.u, x, tol=tol)
     except PreconditionError:
         return False
     if result.hermitian_residual > tol.equality:

@@ -51,15 +51,13 @@ def _pairs_to_block(pairs, n: int) -> np.ndarray:
     return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(n, n)
 
 
-def element_to_doc(x: Element, label: str | None = None, unit_identified: bool | None = None) -> dict:
+def element_to_doc(x: Element, label: str | None = None) -> dict:
     doc = {
         "shape": list(x.shape.block_dims),
         "blocks": [_block_to_pairs(b) for b in x.blocks],
     }
     if label is not None:
         doc["label"] = label
-    if unit_identified is not None:
-        doc["unit_identified"] = bool(unit_identified)
     return doc
 
 

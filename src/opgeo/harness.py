@@ -194,7 +194,8 @@ def _trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# per-suite trial bodies: return (passed, deviation)
+# per-suite trial bodies: return (passed, deviation); a trial that fails
+# before it can measure reports deviation 1.0
 
 
 def _trial_t1f(shape, rng, tol: Tolerances):
@@ -217,42 +218,35 @@ def _trial_t1b(shape, rng, tol: Tolerances):
     x = gen_norm_one_non_pi(shape, rng)
     w = construct_witness(x, tol=tol)
     if w is None:
-        return False, float("inf")
+        return False, 1.0
     dev = max(abs(w.norm_plus - 1.0), abs(w.norm_minus - 1.0))
     ok = dev <= tol.equality and w.margin >= 0.05 and not x2_member(x, w.y)
     return ok, dev
 
 
-def _trial_t1x(shape, rng, tol: Tolerances):
+def _draw_norm_one(shape, rng) -> tuple[Element, bool]:
+    """A unitary, a proper partial isometry or a norm-one non-partial
+    isometry, one third each, and whether it is unitary."""
     case = int(rng.integers(0, 3))
     if case == 0:
-        x = gen_unitary(shape, rng)
-        expected = True
-    elif case == 1:
-        x = gen_partial_isometry(shape, random_ranks(shape, rng, proper=True), rng)
-        expected = False
-    else:
-        x = gen_norm_one_non_pi(shape, rng)
-        expected = False
-    v = is_extreme_point(x, rng=rng, tol=tol)
+        return gen_unitary(shape, rng), True
+    if case == 1:
+        return gen_partial_isometry(shape, random_ranks(shape, rng, proper=True), rng), False
+    return gen_norm_one_non_pi(shape, rng), False
+
+
+def _trial_t1x(shape, rng, tol: Tolerances):
+    x, expected = _draw_norm_one(shape, rng)
+    v = is_extreme_point(x, tol=tol)
     ok = v.agreement and v.algebraic == expected
     return ok, 0.0 if ok else 1.0
 
 
 def _trial_t2(shape, rng, tol: Tolerances):
-    case = int(rng.integers(0, 3))
-    if case == 0:
-        x = gen_unitary(shape, rng)
-        expect_full = True
-    elif case == 1:
-        x = gen_partial_isometry(shape, random_ranks(shape, rng, proper=True), rng)
-        expect_full = False
-    else:
-        x = gen_norm_one_non_pi(shape, rng)
-        expect_full = False
+    x, expect_full = _draw_norm_one(shape, rng)
     v = is_unitary_geometric(x, tol=tol)
     span = v.evidence["span_dim"]  # >= 1: x has norm one
-    desc = algebra.norming_set(x, tol.classification)
+    desc = algebra.norming_set(x, tol=tol)
     rank = algebra.numeric_span_rank(
         [algebra.sample_norming_functional(desc, rng) for _ in range(span + _SPAN_OVERSAMPLING)]
     )
@@ -284,8 +278,8 @@ def _trial_t4(shape, rng, tol: Tolerances):
         x = gen_invertible(shape, rng)
         cert = invertibility_certificate(x, tol=tol)
         if cert is None:
-            return False, float("inf")
-        res = min_real_over_norming(cert.u, x, unitary_tol=tol.equality)
+            return False, 1.0
+        res = min_real_over_norming(cert.u, x, tol=tol)
         dev = max(
             res.hermitian_residual,
             abs(res.value - element_min_singular_value(x)),
@@ -295,9 +289,9 @@ def _trial_t4(shape, rng, tol: Tolerances):
     x = gen_singular(shape, rng)
     cert = invertibility_certificate(x, tol=tol)
     if cert is not None:
-        return False, float("inf")
+        return False, 1.0
     u = Element(x.shape, tuple(r.left @ r.right.conj().T for r in x.svds))
-    res = min_real_over_norming(u, x, unitary_tol=tol.equality)
+    res = min_real_over_norming(u, x, tol=tol)
     dev = abs(min(res.value, 0.0))
     return res.value <= tol.classification, dev
 
@@ -425,8 +419,7 @@ def run_suite(cfg: TrialConfig) -> SuiteReport:
             else:
                 res.passes += 1
             res.trials += 1
-            if np.isfinite(dev):
-                res.max_deviation = max(res.max_deviation, float(dev))
+            res.max_deviation = max(res.max_deviation, float(dev))
         res.wall_time_s = time.perf_counter() - start
         results.append(res)
     return SuiteReport(config=cfg, suites=results)

@@ -780,11 +780,11 @@ class TestPartialIsometryVerdicts:
 
     def test_extreme_point_unitary(self, rng):
         u = gen_unitary(M2_M3, rng)
-        v = is_extreme_point(u, rng=rng)
+        v = is_extreme_point(u)
         assert v.algebraic and v.geometric
 
-    def test_extreme_point_proper_isometry_fails(self, rng):
-        v = is_extreme_point(diag_element([1.0, 0.0]), rng=rng)
+    def test_extreme_point_proper_isometry_fails(self):
+        v = is_extreme_point(diag_element([1.0, 0.0]))
         assert not v.algebraic and not v.geometric
 
 

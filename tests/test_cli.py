@@ -106,7 +106,7 @@ class TestClassify:
         assert code == 3
 
     def test_unit_identified_in_document(self, tmp_path):
-        doc = documents.element_to_doc(Element.identity(AlgebraShape((2,))), unit_identified=True)
+        doc = documents.element_to_doc(Element.identity(AlgebraShape((2,)))) | {"unit_identified": True}
         path = write_doc(tmp_path, "u.json", doc)
         code, out, _ = run_cli("classify", path)
         assert code == 0
@@ -403,7 +403,7 @@ class TestAdjoint:
     def test_recovers_conjugate_transpose(self, tmp_path):
         x = Element.from_blocks([np.array([[1.0, 2.0 + 1j], [0.0, -1j]])])
         path = write_doc(
-            tmp_path, "x.json", documents.element_to_doc(x, unit_identified=True)
+            tmp_path, "x.json", documents.element_to_doc(x) | {"unit_identified": True}
         )
         code, out, _ = run_cli("adjoint", path)
         assert code == 0
@@ -487,7 +487,7 @@ class TestDocuments:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unit_identified_false_is_no_unit(self, tmp_path):
-        doc = documents.element_to_doc(Element.identity(AlgebraShape((2,))), unit_identified=False)
+        doc = documents.element_to_doc(Element.identity(AlgebraShape((2,)))) | {"unit_identified": False}
         code, out, _ = run_cli("classify", write_doc(tmp_path, "x.json", doc))
         assert code == 0
         assert "positive" not in {v["predicate"] for v in json.loads(out)["verdicts"]}

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opgeo import algebra
+from opgeo import algebra, harness
 from opgeo.algebra import AlgebraShape
 from opgeo.harness import (
     ALL_SUITES,
@@ -114,3 +114,23 @@ class TestSpanRankCheck:
         (result,) = run_suite(cfg).suites
         assert result.passes == 0
         assert {f["deviation"] for f in result.failures} == {10.0}
+
+
+class TestFailedTrials:
+    @pytest.mark.parametrize(
+        ("suite", "route"), [("T1B", "construct_witness"), ("T4", "invertibility_certificate")]
+    )
+    def test_a_failed_trial_reports_deviation_one(self, monkeypatch, suite, route):
+        # no witness or no certificate: the trial fails before it can measure
+        monkeypatch.setattr(harness, route, lambda x, *, tol: None)
+        report = run_suite(TrialConfig(seed=0, trials=4, suites=(suite,)))
+        (result,) = report.suites
+        assert result.failures
+        assert {f["deviation"] for f in result.failures} == {1.0}
+        assert result.max_deviation == 1.0
+        assert f"FAIL {suite}: {result.passes}/4 passed, max deviation 1.000e+00" in report.to_text()
+
+        def reject(name):
+            raise ValueError(f"{name} is not standard JSON")
+
+        json.loads(report.to_json(), parse_constant=reject)

@@ -252,42 +252,62 @@ def norming_set(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> NormingS
     return NormingSetDescription(x, tuple(unit_indices), tuple(warnings))
 
 
-def sample_norming_functional(desc: NormingSetDescription, rng: np.random.Generator) -> Functional:
-    """Draw a random member of the described norming set.
+def sample_norming_densities(
+    desc: NormingSetDescription, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, ...]:
+    """Draw `count` random members of the described norming set at once.
 
-    Per active block a PSD coefficient matrix supported on the unit singular
-    subspace is drawn as GG* for complex Gaussian G; traces are normalized
-    jointly so the dual norm is exactly one.
+    Returns one density stack of shape (count, n_i, n_i) per block, zero on
+    inactive blocks.  Per active block the coefficient c is GG* for complex
+    Gaussian G on the unit singular subspace and zero off it, and the
+    density is the frame product V c W*; traces are normalized jointly per
+    sample, so each member has dual norm exactly one.  The generator is read
+    as by `count` single draws: per sample, per active block, the real k x k
+    draw of G and then the imaginary one.
     """
     if not desc.active_blocks:
         raise PreconditionError("description has no active block")
-    raw = {}
-    total = 0.0
-    for i in desc.active_blocks:
-        k = len(desc.unit_indices[i])
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        h = g @ g.conj().T
-        raw[i] = h
-        total += float(np.trace(h).real)
-    densities = []
-    for i, (idx, res) in enumerate(zip(desc.unit_indices, desc.base.svds)):
-        c = np.zeros(res.left.shape, dtype=np.complex128)
-        if idx:
-            c[np.ix_(idx, idx)] = raw[i] / total
-            c = res.right @ c @ res.left.conj().T
-        densities.append(c)
-    return Functional(desc.base.shape, tuple(densities))
+    ks = [len(desc.unit_indices[i]) for i in desc.active_blocks]
+    draws = rng.standard_normal((count, sum(2 * k * k for k in ks)))
+    coefficients, pos = [], 0
+    for k in ks:
+        re, im = draws[:, pos : pos + 2 * k * k].reshape(count, 2, k, k).transpose(1, 0, 2, 3)
+        g = re + 1j * im
+        coefficients.append(g @ g.conj().transpose(0, 2, 1))
+        pos += 2 * k * k
+    del draws, re, im, g  # freed before the frame products, whose stacks are as large
+    total = sum(np.trace(h, axis1=1, axis2=2).real for h in coefficients)
+    densities = [np.zeros((count, d, d), dtype=np.complex128) for d in desc.base.shape.block_dims]
+    for i, h in zip(desc.active_blocks, coefficients):
+        res, idx, c = desc.base.svds[i], desc.unit_indices[i], densities[i]
+        c[(slice(None),) + np.ix_(idx, idx)] = h
+        c /= total[:, None, None]
+        densities[i] = res.right @ c @ res.left.conj().T
+    return tuple(densities)
+
+
+def sample_norming_functional(desc: NormingSetDescription, rng: np.random.Generator) -> Functional:
+    """Draw one random member of the described norming set: the single
+    draw of `sample_norming_densities`."""
+    return Functional(desc.base.shape, tuple(a[0] for a in sample_norming_densities(desc, rng, 1)))
+
+
+def coordinate_rows(densities: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Coordinate vectors of a density stack, one row per sample, laid out
+    as by `Functional.vectorize`."""
+    return np.concatenate([a.reshape(len(a), -1) for a in densities], axis=1)
 
 
 def numeric_span_rank(fs, tol: float = SPAN_RANK_TOL) -> int:
-    """Complex-linear rank of a family of functionals.
+    """Complex-linear rank of a family of functionals, given as Functionals
+    or as the rows of `coordinate_rows`.
 
     Counts singular values of the stacked coordinate vectors above
     tol * sigma_max.
     """
-    if not fs:
+    if len(fs) == 0:
         return 0
-    mat = np.stack([f.vectorize() for f in fs])
+    mat = fs if isinstance(fs, np.ndarray) else np.stack([f.vectorize() for f in fs])
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0

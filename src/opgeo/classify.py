@@ -29,14 +29,12 @@ from opgeo import linalg
 from opgeo.algebra import (
     DEFAULT_TOLERANCES,
     Element,
-    Functional,
     NormingMinimum,
     Tolerances,
     element_norm,
-    evaluate,
     min_real_over_norming,
     norming_set,
-    sample_norming_functional,
+    sample_norming_densities,
 )
 from opgeo.errors import (
     DegenerateInputError,
@@ -467,11 +465,9 @@ def norming_annihilates_defect(
     isometry x; vanishes because dual mass sits on the unit singular frame."""
     desc = norming_set(x, tol=tol)
     defect = Element.identity(x.shape) - x.H @ x
-    worst = 0.0
-    for _ in range(samples):
-        f = sample_norming_functional(desc, rng)
-        worst = max(worst, abs(evaluate(f, defect)))
-    return worst
+    stacks = sample_norming_densities(desc, rng, samples)
+    values = sum(np.einsum("sjk,kj->s", stacks[i], defect.blocks[i]) for i in desc.active_blocks)
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -539,6 +535,14 @@ def verify_certificate(
     Malformed certificates (epsilon <= 0, block mismatch) raise; a well-formed
     certificate that fails the spectral conditions returns False.
     """
+    return _check_certificate(x, cert, tol)[0]
+
+
+def _check_certificate(
+    x: Element, cert: InvertibilityCertificate, tol: Tolerances
+) -> tuple[bool, NormingMinimum | None]:
+    """`verify_certificate`'s verdict with the one minimum it read, None
+    when u is not unitary."""
     if not isinstance(cert, InvertibilityCertificate):
         raise MalformedCertificateError("not an invertibility certificate")
     if not (cert.epsilon > 0.0) or not np.isfinite(cert.epsilon):
@@ -546,12 +550,11 @@ def verify_certificate(
     if cert.u.shape != x.shape:
         raise MalformedCertificateError("certificate unitary has mismatched block structure")
     try:
-        result: NormingMinimum = min_real_over_norming(cert.u, x, tol=tol)
+        result = min_real_over_norming(cert.u, x, tol=tol)
     except PreconditionError:
-        return False
-    if result.hermitian_residual > tol.equality:
-        return False
-    return result.value >= cert.epsilon - tol.equality
+        return False, None
+    hermitian = result.hermitian_residual <= tol.equality
+    return hermitian and result.value >= cert.epsilon - tol.equality, result
 
 
 def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -166,7 +167,10 @@ def cmd_adjoint(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every `main` call
+    parses with the same object, which no caller mutates."""
     parser = argparse.ArgumentParser(
         prog="opgeo",
         description="Classify operators in finite direct sums of matrix algebras "

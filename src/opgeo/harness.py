@@ -31,7 +31,6 @@ from opgeo.classify import (
     is_unitary_geometric,
     norming_annihilates_defect,
     recover_adjoint,
-    verify_certificate,
     x1_member,
     x2_deviation,
     x2_member,
@@ -247,9 +246,8 @@ def _trial_t2(shape, rng, tol: Tolerances):
     v = is_unitary_geometric(x, tol=tol)
     span = v.evidence["span_dim"]  # >= 1: x has norm one
     desc = algebra.norming_set(x, tol=tol)
-    rank = algebra.numeric_span_rank(
-        [algebra.sample_norming_functional(desc, rng) for _ in range(span + _SPAN_OVERSAMPLING)]
-    )
+    stacks = algebra.sample_norming_densities(desc, rng, span + _SPAN_OVERSAMPLING)
+    rank = algebra.numeric_span_rank(algebra.coordinate_rows(stacks))
     dev = float(abs(rank - span))
     ok = (
         v.agreement
@@ -279,13 +277,11 @@ def _trial_t4(shape, rng, tol: Tolerances):
         cert = invertibility_certificate(x, tol=tol)
         if cert is None:
             return False, 1.0
-        res = min_real_over_norming(cert.u, x, tol=tol)
-        dev = max(
-            res.hermitian_residual,
-            abs(res.value - element_min_singular_value(x)),
-        )
-        ok = verify_certificate(x, cert, tol=tol) and dev <= _IDENTITY_BOUND
-        return ok, dev
+        accepted, res = classify._check_certificate(x, cert, tol)
+        if res is None:
+            return False, 1.0
+        dev = max(res.hermitian_residual, abs(res.value - element_min_singular_value(x)))
+        return accepted and dev <= _IDENTITY_BOUND, dev
     x = gen_singular(shape, rng)
     cert = invertibility_certificate(x, tol=tol)
     if cert is not None:

@@ -9,12 +9,14 @@ from opgeo.algebra import (
     AlgebraShape,
     Element,
     Functional,
+    coordinate_rows,
     element_norm,
     evaluate,
     functional_norm,
     min_real_over_norming,
     norming_set,
     numeric_span_rank,
+    sample_norming_densities,
     sample_norming_functional,
 )
 from opgeo.errors import PreconditionError, ShapeMismatchError
@@ -146,6 +148,27 @@ class TestSampling:
         assert worst_val <= 1e-8
         assert worst_nrm <= 1e-8
 
+    @pytest.mark.parametrize(
+        ("dims", "sigmas"),
+        [((4,), ([1.0, 1.0, 0.5, 0.2],)), ((2, 3), ([1.0, 0.5], [1.0, 1.0, 0.3]))],
+        ids=["M4-one-active-block", "M2+M3-two-active-blocks"],
+    )
+    def test_batched_draws_match_sequential_draws(self, rng, dims, sigmas):
+        u = gen_unitary(AlgebraShape(dims), rng)
+        x = Element.from_blocks([b @ np.diag(s) for b, s in zip(u.blocks, sigmas)])
+        desc = norming_set(x)
+        assert len(desc.active_blocks) == len(dims)
+        batched_rng, sequential_rng = np.random.default_rng(3), np.random.default_rng(3)
+        stacks = sample_norming_densities(desc, batched_rng, 7)
+        sequential = [sample_norming_functional(desc, sequential_rng) for _ in range(7)]
+        for s, f in enumerate(sequential):
+            for a, b in zip(stacks, f.densities):
+                assert np.array_equal(a[s], b)
+        rows = np.stack([f.vectorize() for f in sequential])
+        assert np.array_equal(coordinate_rows(stacks), rows)
+        # one stream can feed further draws, as criterion 4's 100 trials do
+        assert batched_rng.bit_generator.state == sequential_rng.bit_generator.state
+
     def test_span_dim_full_iff_unitary(self, rng):
         shape = AlgebraShape((2, 3))
         u = gen_unitary(shape, rng)
@@ -165,6 +188,7 @@ class TestSpanRank:
 
     def test_empty(self):
         assert numeric_span_rank([]) == 0
+        assert numeric_span_rank(np.zeros((0, 4), dtype=np.complex128)) == 0
 
     def test_matches_span_dim(self, rng):
         u = gen_unitary(AlgebraShape((4,)), rng)

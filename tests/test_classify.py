@@ -18,6 +18,7 @@ from opgeo.algebra import (
     functional_norm,
     norming_set,
     numeric_span_rank,
+    sample_norming_functional,
 )
 from opgeo.classify import (
     DEFAULT_TOLERANCES,
@@ -877,6 +878,24 @@ class TestDefectStructure:
     def test_annihilation(self, rng):
         x = gen_partial_isometry(M2_M3, random_ranks(M2_M3, rng, proper=True), rng)
         assert norming_annihilates_defect(x, 100, rng) <= 1e-8
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 3), (6,)])
+    def test_annihilation_matches_the_per_sample_loop(self, rng, dims):
+        shape = AlgebraShape(dims)
+        x = gen_partial_isometry(shape, random_ranks(shape, rng, proper=True), rng)
+        desc, defect = norming_set(x), Element.identity(shape) - x.H @ x
+        oracle_rng, batched_rng = np.random.default_rng(11), np.random.default_rng(11)
+        oracle = max(
+            abs(evaluate(sample_norming_functional(desc, oracle_rng), defect)) for _ in range(100)
+        )
+        assert abs(norming_annihilates_defect(x, 100, batched_rng) - oracle) <= 1e-15
+
+    def test_annihilation_builds_no_functional_per_sample(self, monkeypatch, rng):
+        built = []
+        monkeypatch.setattr(algebra.Functional, "__post_init__", lambda f: built.append(f))
+        x = gen_partial_isometry(M2_M3, random_ranks(M2_M3, rng, proper=True), rng)
+        norming_annihilates_defect(x, 100, rng)
+        assert built == []
 
     def test_orthogonal_case_exact(self):
         rep = defect_norm_identity(diag_element([1.0, 0.0]))

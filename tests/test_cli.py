@@ -390,6 +390,16 @@ class TestHarness:
         assert code == 0
         assert run_cli("classify", identity3)[0] == 0
 
+    def test_parser_is_built_once_and_keeps_no_tolerance(self):
+        args = ("harness", "--trials", "1", "--suites", "ADJ", "--shapes", "M2", "--format", "json")
+        code, out, _ = run_cli(*args, "--tol", "classification=1e-5")
+        assert code == 0
+        assert json.loads(out)["config"]["tolerances"]["classification"] == 1e-5
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        assert json.loads(out)["config"]["tolerances"] == {"equality": 1e-8, "classification": 1e-6}
+        assert cli.build_parser() is cli.build_parser()
+
     def test_timing_flag_adds_wall_time(self):
         code, out, _ = run_cli(
             "harness", "--trials", "1", "--suites", "T1B", "--shapes", "M2",

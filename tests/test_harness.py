@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opgeo import algebra, harness
+from opgeo import algebra, classify, harness
 from opgeo.algebra import AlgebraShape
 from opgeo.harness import (
     ALL_SUITES,
@@ -114,6 +114,29 @@ class TestSpanRankCheck:
         (result,) = run_suite(cfg).suites
         assert result.passes == 0
         assert {f["deviation"] for f in result.failures} == {10.0}
+
+
+class TestT4:
+    def test_one_norming_minimum_per_trial(self, monkeypatch):
+        # the invertible branch reads its deviation and its verdict from one
+        # evaluation, the singular branch from one of its own
+        calls, invertible = [], []
+        minimum, draw = algebra.min_real_over_norming, harness.gen_invertible
+
+        def counted(u, x, *, tol):
+            calls.append(x)
+            return minimum(u, x, tol=tol)
+
+        def counted_draw(shape, rng):
+            invertible.append(shape)
+            return draw(shape, rng)
+
+        monkeypatch.setattr(classify, "min_real_over_norming", counted)
+        monkeypatch.setattr(harness, "min_real_over_norming", counted)
+        monkeypatch.setattr(harness, "gen_invertible", counted_draw)
+        assert run_suite(TrialConfig(seed=0, trials=8, suites=("T4",))).all_passed
+        assert 0 < len(invertible) < 8  # both branches ran
+        assert len(calls) == 8
 
 
 class TestFailedTrials:

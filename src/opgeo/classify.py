@@ -30,6 +30,7 @@ from opgeo.algebra import (
     DEFAULT_TOLERANCES,
     Element,
     NormingMinimum,
+    NormingSetDescription,
     Tolerances,
     element_norm,
     min_real_over_norming,
@@ -214,8 +215,9 @@ def verify_witness(
     return verified, measured.margin, deviation
 
 
-#: relative rounding allowance of one computed operator norm (backward-stable
-#: SVD: a few n * eps for n <= 64, with room to spare)
+#: relative rounding allowance of one computed operator norm or norm bound
+#: (backward-stable SVD and Cholesky: a few n * eps for n <= 64, with room
+#: to spare)
 _NORM_ROUNDING = 1e-12
 
 
@@ -294,33 +296,90 @@ def x1_member(x: Element, y: Element) -> bool:
     return best <= tol
 
 
-def _x2_deviations(x: Element, y: Element):
-    """Yield max | ||x + by|| - max(1, ||by||) | over the b-grid chunk by
-    chunk: the 16 phases of the largest radius, then the other radii."""
+def x2_deviation(x: Element, y: Element) -> float:
+    """max over the b-grid of | ||x + by|| - max(1, ||by||) |, measured in
+    two chunks: the 16 phases of the largest radius, then the other radii."""
     y_norm = _direction_norm(x, y)
     if y_norm <= _NEGLIGIBLE:
-        yield abs(element_norm(x) - 1.0)
-        return
-    for bs in (_B_GRID[-1], _B_GRID[:-1].ravel()):
-        reference = np.maximum(1.0, np.abs(bs) * y_norm)
-        yield float(np.max(np.abs(_grid_norms(x, y, bs) - reference)))
-
-
-def x2_deviation(x: Element, y: Element) -> float:
-    """max over the b-grid of | ||x + by|| - max(1, ||by||) |."""
-    return max(_x2_deviations(x, y))
+        return abs(element_norm(x) - 1.0)
+    return max(
+        float(np.max(np.abs(_grid_norms(x, y, bs) - np.maximum(1.0, np.abs(bs) * y_norm))))
+        for bs in (_B_GRID[-1], _B_GRID[:-1].ravel())
+    )
 
 
 def x2_member(x: Element, y: Element) -> bool:
     """Tester for the max-identity set: ||x + by|| = max(1, ||by||) on the grid.
 
-    The grid runs in two chunks, each one stacked SVD per block: first the
-    16 phases of the largest radius, where a direction off the set shows its
-    O(1) deviation, then the other radii.  The first chunk whose deviation
-    exceeds member_tol answers False without running the rest; the answer
-    is that of x2_deviation(x, y) <= member_tol.
+    The answer is that of x2_deviation(x, y) <= member_tol.  With
+    r = max(1, |b| ||y||) and the rounding allowance
+    d = 2 * _NORM_ROUNDING * (r + ||x||), two certified bounds decide it
+    where they can, without measuring ||x + by||:
+
+    - below, per point b: ||x + by|| >= ||(x + by) v|| for the top right
+      singular vector v of a block of x, then of y (from the snapshots
+      `svds`), two matvecs per block for the whole grid.  Above
+      r + member_tol + d anywhere, the answer is False, and x's vectors
+      alone reject most directions off X2 without y's SVD; at least
+      r - member_tol + d settles that side of the point.
+    - above, per radius rho: for |b| = rho, (x + by)*(x + by) is at most
+      x*x + rho^2 y*y + 2 rho ||x*y||_F 1, so a successful Cholesky
+      factorisation of c^2 1 minus that, on every block, gives
+      ||x + by|| <= c at all 16 phases up to rounding far below d (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2002, section 10.1).
+      At c = r + member_tol - d it settles the other side of the radii whose
+      points all settled below; at c = r - member_tol - d, on the other
+      radii, it answers False.
+
+    Only radii that neither bound settles are measured, by one stacked SVD
+    per block (`_grid_norms`), and compared with member_tol.  On a defect
+    direction of a partial isometry both bounds are exact (y v_x = 0,
+    x v_y = 0 and x*y = 0), so nothing is measured.
     """
-    return all(dev <= _MEMBER_TOL for dev in _x2_deviations(x, y))
+    y_norm = _direction_norm(x, y)
+    if y_norm <= _NEGLIGIBLE:
+        return abs(element_norm(x) - 1.0) <= _MEMBER_TOL
+    tol = _MEMBER_TOL
+    rho = np.abs(_B_GRID[:, 0])
+    r = np.maximum(1.0, rho * y_norm)
+    d = 2.0 * _NORM_ROUNDING * (r + x.norm)
+    lower = 0.0
+    for snapshot in (x, y):
+        for xb, yb, res in zip(x.blocks, y.blocks, snapshot.svds):
+            v = res.right[:, 0]
+            w = xb @ v + _B_GRID[:, :, None] * (yb @ v)
+            lower = np.maximum(lower, np.sqrt(np.einsum("rpi,rpi->rp", w, w.conj()).real))
+        if np.any(lower > (r + tol + d)[:, None]):
+            return False
+    grams = []
+    for xb, yb in zip(x.blocks, y.blocks):
+        xh = xb.conj().T
+        cross = xh @ yb
+        grams.append((xh @ xb, yb.conj().T @ yb, 2.0 * np.sqrt(np.vdot(cross, cross).real)))
+    open_ = np.any(lower < (r - tol + d)[:, None], axis=1)
+    if open_.any() and _certainly_below(grams, rho[open_], (r - tol - d)[open_]):
+        return False
+    if not open_.all() and not _certainly_below(grams, rho[~open_], (r + tol - d)[~open_]):
+        open_[:] = True
+    if not open_.any():
+        return True
+    norms = _grid_norms(x, y, _B_GRID[open_].ravel()).reshape(-1, _PHASES.size)
+    return bool(np.all(np.abs(norms - r[open_, None]) <= tol))
+
+
+def _certainly_below(grams, rho: np.ndarray, c: np.ndarray) -> bool:
+    """Whether c^2 1 - x*x - rho^2 y*y - 2 rho ||x*y||_F 1 has a Cholesky
+    factorisation for every radius rho and every block, one stack per
+    block; grams holds per block (x*x, y*y, 2 ||x*y||_F)."""
+    try:
+        for xx, yy, cross in grams:
+            m = -(xx + (rho**2)[:, None, None] * yy)
+            i = np.arange(xx.shape[0])
+            m[:, i, i] += (c**2 - rho * cross)[:, None]
+            np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _defect_direction(x: Element, rng: np.random.Generator) -> Element | None:
@@ -434,15 +493,17 @@ def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) ->
     `norm_one_gate`; the zero element raises DegenerateInputError.
     """
     _, off = norm_one_gate(x, tol=tol)
+    if off:
+        evidence = {"dual_dimension": x.shape.dual_dimension, "reason": off}
+        return Verdict("unitary", is_unitary_algebraic(x, tol=tol), False, evidence, tol.as_dict())
+    return _unitary_verdict(x, norming_set(x, tol=tol), tol)
+
+
+def _unitary_verdict(x: Element, desc: NormingSetDescription, tol: Tolerances) -> Verdict:
+    """`is_unitary_geometric` on a norm-one x whose norming set is desc."""
     algebraic = is_unitary_algebraic(x, tol=tol)
     dual_dim = x.shape.dual_dimension
-    evidence: dict = {"dual_dimension": dual_dim}
-    if off:
-        evidence["reason"] = off
-        return Verdict("unitary", algebraic, False, evidence, tol.as_dict())
-    desc = norming_set(x, tol=tol)
-    evidence["span_dim"] = desc.span_dim
-    evidence["warnings"] = list(desc.warnings)
+    evidence: dict = {"dual_dimension": dual_dim, "span_dim": desc.span_dim, "warnings": list(desc.warnings)}
     value_dev = left_dev = right_dev = 0.0
     for i in desc.active_blocks:
         j, r = list(desc.unit_indices[i]), x.svds[i]

@@ -28,7 +28,6 @@ from opgeo.classify import (
     is_projection,
     is_self_adjoint_lumer,
     is_self_adjoint_states,
-    is_unitary_geometric,
     norming_annihilates_defect,
     recover_adjoint,
     x1_member,
@@ -243,9 +242,9 @@ def _trial_t1x(shape, rng, tol: Tolerances):
 
 def _trial_t2(shape, rng, tol: Tolerances):
     x, expect_full = _draw_norm_one(shape, rng)
-    v = is_unitary_geometric(x, tol=tol)
-    span = v.evidence["span_dim"]  # >= 1: x has norm one
-    desc = algebra.norming_set(x, tol=tol)
+    desc = algebra.norming_set(x, tol=tol)  # x has norm one
+    v = classify._unitary_verdict(x, desc, tol)
+    span = v.evidence["span_dim"]  # >= 1
     stacks = algebra.sample_norming_densities(desc, rng, span + _SPAN_OVERSAMPLING)
     rank = algebra.numeric_span_rank(algebra.coordinate_rows(stacks))
     dev = float(abs(rank - span))

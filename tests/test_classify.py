@@ -377,13 +377,15 @@ class TestX1Member:
         assert calls <= 47
         # matrices decomposed, a stack counting each of its matrices: 2446
         # while every X1 call took the 80-matrix grid, 1432 before one pass,
-        # 1424 before shared probes
-        assert matrices <= 1294
+        # 1424 before shared probes, 1294 while X2 measured its 208 points
+        # per probe; now 25 by SVD, 25 norms, 2 eigh and 6 x 13 Cholesky
+        assert matrices <= 130
 
     # before one classify pass: 65 calls (166 matrices) and 26 (35); before
-    # shared probes and the unitary oracle: 57 (158), 16 (23) and 82 (1426)
+    # shared probes and the unitary oracle: 57 (158), 16 (23) and 82 (1426);
+    # the projection took 1296 matrices while X2 measured its whole grid
     @pytest.mark.parametrize(
-        ("cls", "max_calls", "max_matrices"), [("unitary", 21, 26), ("nonpi", 16, 23), ("projection", 49, 1296)]
+        ("cls", "max_calls", "max_matrices"), [("unitary", 21, 26), ("nonpi", 16, 23), ("projection", 49, 132)]
     )
     def test_classify_linalg_call_budget_by_class(self, tmp_path, monkeypatch, cls, max_calls, max_matrices):
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))[cls]
@@ -397,7 +399,7 @@ def _classify_linalg_calls(x: Element, tmp_path, monkeypatch) -> tuple[int, int]
     they decompose, a stack counting each of its matrices."""
     path = tmp_path / "x.json"
     path.write_text(json.dumps(documents.element_to_doc(x)))
-    calls = _count_linalg(monkeypatch, "svd", "norm", "eigh", "eigvalsh", "lstsq")
+    calls = _count_linalg(monkeypatch, "svd", "norm", "eigh", "eigvalsh", "lstsq", "cholesky")
     with redirect_stdout(io.StringIO()):
         assert main(["classify", str(path), "--unit"]) == 0
     return sum(calls.values()), sum(n * int(np.prod(stack)) for (_, stack), n in calls.items())
@@ -580,23 +582,78 @@ class TestX2Member:
     @staticmethod
     def _m8_partial_isometry():
         rng = np.random.default_rng(8)
-        return gen_partial_isometry(AlgebraShape((8,)), (5,), rng), rng
+        x = gen_partial_isometry(AlgebraShape((8,)), (5,), rng)
+        x.svds  # the snapshot a classify pass has already taken
+        return x, rng
 
-    def test_random_direction_stops_after_the_largest_radius(self, monkeypatch):
+    def test_random_direction_takes_no_grid_svd(self, monkeypatch):
+        # the bound from x's top singular vector exceeds the reference: no
+        # grid point is measured, y is not decomposed, nothing is factorised
         x, rng = self._m8_partial_isometry()
         y = _random_direction(x, rng)
-        calls = _count_linalg(monkeypatch, "svd")
+        calls = _count_linalg(monkeypatch, "svd", "cholesky")
         assert x2_member(x, y) is False
-        assert calls == Counter({("svd", (classify._PHASES.size,)): 1})
+        assert calls == Counter()
 
-    def test_defect_direction_covers_the_grid(self, monkeypatch):
+    def test_defect_probe_takes_no_grid_svd(self, monkeypatch):
         x, rng = self._m8_partial_isometry()
         y = _defect_direction(x, rng)
-        calls = _count_linalg(monkeypatch, "svd")
+        calls = _count_linalg(monkeypatch, "svd", "cholesky")
         assert x2_member(x, y) is True
-        # the largest radius's 16 phases, then the other 12 radii
-        assert calls == Counter({("svd", (16,)): 1, ("svd", (192,)): 1})
-        assert sum(n * k for (_, (n,)), k in calls.items()) == classify._B_GRID.size == SEED_B_GRID.size
+        # y's snapshot, and one factorisation per radius certifies all 16 phases
+        assert calls == Counter({("svd", ()): 1, ("cholesky", (13,)): 1})
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 3), (8,)], ids=lambda d: "+".join(f"M{n}" for n in d))
+    def test_near_the_cut_every_branch_matches_the_deviation(self, monkeypatch, dims):
+        rng = np.random.default_rng(sum(dims) * 107 + len(dims))
+        corpus = list(_near_cut_corpus(AlgebraShape(dims), rng))
+        certified, measured = [], []
+        below, grid_norms = classify._certainly_below, classify._grid_norms
+
+        def recorded_below(*args):
+            certified.append(below(*args))
+            return certified[-1]
+
+        def recorded_grid_norms(*args):
+            measured.append(args)
+            return grid_norms(*args)
+
+        monkeypatch.setattr(classify, "_certainly_below", recorded_below)
+        monkeypatch.setattr(classify, "_grid_norms", recorded_grid_norms)
+        branches = Counter()
+        for x, y, target in corpus:
+            deviation = x2_deviation(x, y)
+            assert abs(deviation - target) <= 1e-4 * target
+            certified.clear()
+            measured.clear()
+            got = x2_member(x, y)
+            assert got == (deviation <= 1e-7)
+            if measured:
+                branches["measured", got] += 1
+            elif got:
+                branches["accept"] += 1
+            else:
+                branches["reject below" if True in certified else "reject above"] += 1
+        assert {"accept", "reject above", "reject below"} <= set(branches)
+        assert {("measured", True), ("measured", False)} <= set(branches)
+
+
+def _near_cut_corpus(shape: AlgebraShape, rng: np.random.Generator):
+    """(x, y, target) with x2_deviation(x, y) = target = 1e-7 (1 +/- 1e-3):
+    a defect direction y of a partial isometry x, either with x scaled by
+    1 +/- target (the deviation sits at the small radii, where r = 1) or
+    with y tilted by t times a random direction, t found by bisection."""
+    x = gen_partial_isometry(shape, tuple(max(1, n // 2) for n in shape.block_dims), rng)
+    y = _defect_direction(x, rng)
+    z = _random_direction(x, rng)
+    for target in (1e-7 * (1.0 - 1e-3), 1e-7 * (1.0 + 1e-3)):
+        for sign in (1.0, -1.0):
+            yield (1.0 + sign * target) * x, y, target
+        lo, hi = 0.0, 1e-3
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if x2_deviation(x, y + mid * z) < target else (lo, mid)
+        yield x, y + hi * z, target
 
 
 def seed_defect_norm_identity(x: Element) -> classify.DefectNormReport:

@@ -116,6 +116,57 @@ class TestSpanRankCheck:
         assert {f["deviation"] for f in result.failures} == {10.0}
 
 
+class TestT2:
+    def test_one_norming_set_per_trial(self, monkeypatch):
+        # the unitary verdict and the sampler read one description of x
+        calls = []
+        build = algebra.norming_set
+
+        def counted(x, *, tol):
+            calls.append(x)
+            return build(x, tol=tol)
+
+        monkeypatch.setattr(algebra, "norming_set", counted)
+        monkeypatch.setattr(classify, "norming_set", counted)
+        assert run_suite(TrialConfig(seed=0, trials=20, suites=("T2",))).all_passed
+        assert len(calls) == 20
+
+
+class TestT1F:
+    """Seed 813040783, `--trials 2`: trial 0 of T1F draws a rank-1 partial
+    isometry in M2 whose third random direction z lies off X2 (deviation
+    0.19), yet X1 accepts z at its first grid point a = 1e-3/||z||, where
+    max ||x +/- az|| - 1 is 8.2e-8, below the member tolerance, while it
+    grows to 0.185 at a = 1/||z||."""
+
+    SEED = 813040783
+
+    def _third_random_direction(self):
+        shape = TrialConfig(seed=self.SEED, trials=2).shapes[0]
+        rng = _trial_rng(self.SEED, "T1F", 0)
+        x = harness.gen_partial_isometry(shape, harness.random_ranks(shape, rng), rng)
+        for _ in range(3):
+            classify._defect_direction(x, rng)
+            z = classify._random_direction(x, rng)
+        return x, z
+
+    def test_x2_rejects_the_near_set_direction(self):
+        x, z = self._third_random_direction()
+        assert x.shape == AlgebraShape((2,))
+        assert classify.x2_deviation(x, z) == pytest.approx(0.192, abs=1e-3)
+        assert classify.x2_member(x, z) is False
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="x1_member decides at its first grid point, where the quadratic "
+        "rise of ||x +/- az|| (8.2e-8) is still below the member tolerance 1e-7",
+    )
+    def test_x1_rejects_the_near_set_direction(self):
+        x, z = self._third_random_direction()
+        assert classify.x1_member(x, z) is False
+        assert run_suite(TrialConfig(seed=self.SEED, trials=2, suites=("T1F",))).all_passed
+
+
 class TestT4:
     def test_one_norming_minimum_per_trial(self, monkeypatch):
         # the invertible branch reads its deviation and its verdict from one

@@ -2,12 +2,21 @@
 
 Matrices travel as row-major lists of [re, im] pairs so that round-trips
 are bit-exact (Python's float repr is shortest-round-trip decimal).
+
+Every document is written exactly as `json.dumps(obj, sort_keys=True,
+indent=2)` writes it, byte for byte.  The stdlib's C encoder runs only
+without `indent`, so `dumps` walks the value itself, with one special case:
+a matrix block, a non-empty list of [re, im] pairs of finite floats, is
+written with one `str.format` per pair.  Every other scalar is written as
+the stdlib writes it.  A document nested too deep to decode raises
+DocumentError, which the command line reports with exit code 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -24,8 +33,75 @@ class DocumentError(ValueError):
     """The document does not parse into a valid object."""
 
 
+def _block_text(pairs, nl: str) -> str | None:
+    """The text of a matrix block, a non-empty list of [re, im] pairs of
+    finite floats, whose closing bracket follows nl; None for any other list."""
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    inner = nl + "  "
+    entry = inner + "  "
+    pair = "[" + entry + "{}," + entry + "{}" + inner + "]"
+    reprs = list(map(float.__repr__, flat))
+    return "[" + inner + ("," + inner).join(map(pair.format, reprs[0::2], reprs[1::2])) + nl + "]"
+
+
+#: the stdlib's escaping of a string, as json.dumps applies it to keys and values
+_string_text = json.encoder.encode_basestring_ascii
+
+
+def _leaf_text(value, nl: str) -> str | None:
+    """The text of a value that dumps does not walk into, or None for a
+    container it walks: a non-empty dict, or a non-empty list that is no
+    block.  A scalar's text is the stdlib's: the repr of a finite float,
+    the stdlib's escaping of a string, json.dumps of any other."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is str:
+        return _string_text(value)
+    if isinstance(value, (list, tuple)) and value:
+        return _block_text(value, nl)
+    if isinstance(value, dict) and value:
+        return None
+    return json.dumps(value)
+
+
+def _walk(value, nl: str) -> tuple:
+    """A stack frame of dumps: (prefix, child) for each entry of a container
+    walked, the newline plus indent of its entries, and its closing text.
+    The first prefix opens the container."""
+    inner = nl + "  "
+    if isinstance(value, dict):
+        keys = sorted(value)
+        prefixes = ["," + inner + _string_text(key) + ": " for key in keys]
+        prefixes[0] = "{" + prefixes[0][1:]
+        return zip(prefixes, map(value.__getitem__, keys)), inner, nl + "}"
+    prefixes = ["," + inner] * len(value)
+    prefixes[0] = "[" + inner
+    return zip(prefixes, value), inner, nl + "]"
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for an
+    acyclic JSON value with str keys, nested to any depth: the walk keeps
+    its own stack."""
+    out = []
+    stack = [(iter([("", obj)]), "\n", "")]
+    while stack:
+        entries, nl, close = stack[-1]
+        for prefix, value in entries:
+            text = _leaf_text(value, nl)
+            if text is None:
+                out.append(prefix)
+                stack.append(_walk(value, nl))
+                break
+            out.append(prefix + text)
+        else:
+            out.append(close)
+            stack.pop()
+    return "".join(out)
 
 
 def digest(raw: bytes) -> str:
@@ -33,7 +109,8 @@ def digest(raw: bytes) -> str:
 
 
 def _block_to_pairs(b: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in b.ravel()]
+    # complex128 is (re, im) float64 pairs in memory: the row-major float view is bit-exact
+    return b.ravel().view(np.float64).reshape(-1, 2).tolist()
 
 
 def _json_numbers(values) -> bool:
@@ -44,11 +121,11 @@ def _json_numbers(values) -> bool:
 def _pairs_to_block(pairs, n: int) -> np.ndarray:
     if len(pairs) != n * n:
         raise DocumentError(f"block for M{n} needs {n * n} entries, got {len(pairs)}")
-    pairs_ok = all(type(p) is list and len(p) == 2 for p in pairs)
-    if not (pairs_ok and _json_numbers(chain.from_iterable(pairs))):
+    pairs_ok = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+    if not (pairs_ok and _json_numbers(flat := list(chain.from_iterable(pairs)))):
         raise DocumentError("matrix entries must be [re, im] pairs of JSON numbers")
     # (re, im) float64 pairs are the memory layout of complex128: the view is bit-exact
-    return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(n, n)
+    return np.array(flat, dtype=np.float64).view(np.complex128).reshape(n, n)
 
 
 def element_to_doc(x: Element, label: str | None = None) -> dict:
@@ -82,10 +159,11 @@ def element_from_doc(doc) -> Element:
 
 
 def decode_json(raw: bytes):
-    """The JSON value of raw; malformed JSON or text encoding raises DocumentError."""
+    """The JSON value of raw; malformed JSON, text encoding or nesting too
+    deep for the decoder raises DocumentError."""
     try:
         return json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 

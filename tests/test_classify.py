@@ -1224,6 +1224,22 @@ def test_unitary_routes_agree_just_below_a_unitary(d):
 
 @pytest.mark.xfail(
     strict=True,
+    reason="x1_member's grid starts at a = 1e-3/||y||, above d: it answers False on "
+    "e22 and e^{i pi/4} e22 and True on i e22",
+)
+def test_x1_answer_is_independent_of_the_phase_just_below_a_unitary():
+    # ||x +- a c e22|| = 1 for every a <= d when |c| = 1, so each c e22 is in X1
+    e22 = np.diag([0.0, 1.0])
+    answers = {
+        (d, c): x1_member(diag_element([1.0, 1.0 - d]), Element.from_blocks([c * e22]))
+        for d in (1e-5, 1e-4, 5e-4)
+        for c in (1, np.exp(1j * np.pi / 4), 1j)
+    }
+    assert all(answers.values()), answers
+
+
+@pytest.mark.xfail(
+    strict=True,
     reason="the spectral oracle accepts ||x - x*|| <= tol.classification, the "
     "state route needs ||K|| = ||x - x*|| / 2 <= tol.equality",
 )

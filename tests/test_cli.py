@@ -92,6 +92,17 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("depth", [1200, 100_000])
+    @pytest.mark.parametrize("command", ["classify", "adjoint"])
+    def test_nesting_too_deep_to_decode_exits_2(self, tmp_path, command, depth):
+        # the decoder's RecursionError once escaped: exit 1 and a traceback
+        path = tmp_path / "deep.json"
+        label = "[" * depth + '"x"' + "]" * depth
+        path.write_text('{"shape": [1], "blocks": [[[1.0, 0.0]]], "label": ' + label + "}")
+        code, out, err = run_cli(command, str(path), "--unit")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [["classify"], ["certify", "--predicate", "invertible"], ["adjoint"]])
     def test_missing_input_exits_2(self, tmp_path, command):
         code, out, err = run_cli(command[0], str(tmp_path / "absent.json"), *command[1:])
@@ -244,7 +255,11 @@ class TestCertify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe", None], ids=["syntax", "encoding", "absent"])
+    @pytest.mark.parametrize(
+        "raw",
+        [b"{not json", b"\xff\xfe", b'{"u": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", None],
+        ids=["syntax", "encoding", "too-deep", "absent"],
+    )
     @pytest.mark.parametrize("predicate", ["invertible", "partial-isometry"])
     def test_unreadable_verify_file_exits_2(self, tmp_path, diag_half, predicate, raw):
         vpath = tmp_path / "evidence.json"

@@ -5,14 +5,17 @@ adjoints) and a geometric route (built from norms and norming functionals
 only).  Non-partial-isometries are refuted by an explicit witness element;
 invertibles are certified by a unitary together with a spectral gap; the
 unitary route reads the norming span off a construction.  Where no witness
-exists, the partial-isometry and extreme-point routes read the same defect
-probes: directions from the corner (1 - xx*) A (1 - x*x), each with its X1
-answer.  The partial-isometry route compares each X1 answer with X2's, the
-extreme-point route asks whether any probe lies in X1: diag(1, 0.9995, 0)
-in M3 has no witness (no singular value lies in [gap, 1 - gap]), and both
-routes say False on the first probe.  The probes come from a fixed stream,
-so a verdict depends on x alone.  The extreme points of the unit ball are
-the unitaries, so the extreme-point oracle is the unitary oracle.
+exists, the partial-isometry route reads defect probes drawn from the
+inactive singular frames of x: per block y = W_K G V_K*, where K holds the
+singular values below the activity cut 1 - tol.classification of
+`norming_set`.  Each probe lies in X1 by the face test of `x1_member`, so the
+route asks whether X2 holds on each.  The extreme-point route asks whether x
+has an inactive frame at all, which on a norm-one x is span_dim < dual_dim:
+diag(1, 0.9995, 0) in M3 has no witness (no singular value lies in
+[gap, 1 - gap]), and both routes say False, X2 failing on the first probe.
+The probes come from a fixed stream, so a verdict depends on x alone.  The
+extreme points of the unit ball are the unitaries, so the extreme-point
+oracle is the unitary oracle.
 
 Every public classifier takes its operands and, when it reads a
 tolerance, the keyword-only `tol`; the witness function, the grids and the
@@ -57,16 +60,13 @@ _LUMER_FACTOR = 10.0
 #: a singular value ratio s of x/||x|| admits a witness when s lies in
 #: [gap, 1 - gap]
 _WITNESS_GAP = 1e-3
-#: the X1 search grid: _X1_POINTS log-spaced a in [lo, hi] / ||y||
-_X1_RANGE = (1e-3, 10.0)
-_X1_POINTS = 40
 #: the 16th roots of unity, the phases of the X2 grid and of the defect audit
 _PHASES = np.exp(1j * np.pi * np.arange(16) / 8.0)
 #: the X2 grid b: 13 log-spaced radii (increasing, one row each) times _PHASES
 _B_GRID = np.logspace(-3.0, 3.0, 13)[:, None] * _PHASES[None, :]
 #: a direction belongs to X1 / X2 when its deviation is at most this
 _MEMBER_TOL = 1e-7
-#: defect-corner draws behind the probes of the partial-isometry and extreme-point routes
+#: inactive-frame draws behind the probes of the partial-isometry route
 _N_DIRECTIONS = 6
 #: the t of the defect audit
 _DEFECT_T_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -160,8 +160,9 @@ def construct_witness(
     None if no singular value of x/||x|| lies in [gap, 1 - gap].
 
     |x| is the left absolute value (xx*)^(1/2) per block, so from the block
-    SVDs x = W diag(sigma) V* in x.svds, y = W diag(phi(sigma/||x||) sigma) V*.
-    The spectral point maximizes phi(s) * s among admissible s = sigma/||x||,
+    SVDs x = W diag(sigma) V* in x.svds, y = W diag(phi(sigma/||x||) sigma) V*,
+    and ||y|| is the largest of those values (phi >= 0 on [0, 1]).  The
+    spectral point maximizes phi(s) * s among admissible s = sigma/||x||,
     which drives the margin at b = ||x||/||y||.  A witness that fails the
     rule of `verify_witness` at `tol` raises PreconditionError.
     """
@@ -176,12 +177,10 @@ def construct_witness(
         return None
     t = max(admissible, key=lambda s: _witness_function(s) * s)
 
-    y_blocks = []
-    for r, rs in zip(x.svds, ratios):
-        scaled = _witness_function(rs) * r.singular_values
-        y_blocks.append((r.left * scaled) @ r.right.conj().T)
-    y = Element(x.shape, tuple(y_blocks))
-    witness, verified, deviation = _measure_witness(x, nrm, y, nrm / element_norm(y), t, tol)
+    scaled = [_witness_function(rs) * r.singular_values for r, rs in zip(x.svds, ratios)]
+    y = Element(x.shape, tuple((r.left * c) @ r.right.conj().T for r, c in zip(x.svds, scaled)))
+    y_norm = max(float(c.max()) for c in scaled)
+    witness, verified, deviation = _measure_witness(x, nrm, y, nrm / y_norm, t, tol)
     if not verified:
         raise PreconditionError(
             f"witness invariant violated: deviation {deviation!r}, margin {witness.margin!r}"
@@ -229,71 +228,41 @@ def _direction_norm(x: Element, y: Element) -> float:
     return element_norm(y)
 
 
-def x1_member(x: Element, y: Element) -> bool:
-    """Tester for the symmetric-perturbation set: does some a > 0 give
-    ||x + ay|| = ||x - ay|| = 1?
+def x1_member(x: Element, y: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """Tester for the symmetric-perturbation set of a norm-one x: does some
+    a > 0 give ||x + ay|| = ||x - ay|| = 1?
 
-    The target is D(a) = max(| ||x+ay|| - 1 |, | ||x-ay|| - 1 |) <= member_tol
-    (1e-7) for some a on a log-grid over [1e-3, 10] / ||y|| or in the step
-    bracket [grid[k-1], grid[k+1]] around the grid minimizer k.  This is a
-    harness tester, not a decision procedure.
+    Per block the unit ball is the spectrahedron {z : [[1, z], [z*, 1]] >= 0},
+    and the answer is read off its face at x (Akemann and Pedersen, Proc.
+    London Math. Soc. 1992; Ramana and Goldman, J. Global Optim. 1995).  Let
+    W_J, V_J be the unit singular frames of x, sigma >= 1 - tol.classification
+    as in `norming_set`.  Then y is in X1 exactly when y V_J = 0 and
+    W_J* y = 0 on every block:
 
-    F(a) = max(||x+ay||, ||x-ay||) is convex (a max of norms of affine maps)
-    and even in a, so it never decreases on a >= 0, and D(a) >= F(a) - 1.
-    Once F(a0) exceeds 1 + member_tol by more than the rounding of two
-    computed norms, no a >= a0 qualifies.  So the first grid point is
-    evaluated alone (both signs, one stacked SVD per block): D <= member_tol
-    there answers True, that bound on F answers False.  When ||x|| >= 1,
-    ||x+ay|| + ||x-ay|| >= 2||x|| >= 2 gives D = F - 1, so up to that
-    rounding one of the two answers follows.  Otherwise the whole grid runs
-    the same two tests, the bound taken at the left end of the bracket, and
-    an undecided bracket runs a golden-section search of D, stopping early
-    once D <= member_tol / 10.
+    - only if: for a unit singular vector v with yv != 0,
+      ||(x +/- ay)v||^2 = 1 +/- 2a Re<xv, yv> + a^2 ||yv||^2 exceeds 1 for
+      one sign; W_J* y != 0 is the same with adjoints.
+    - if: y maps the complement of V_J into that of W_J, so
+      x +/- ay = W_J V_J* + (x' +/- ay') with ||x'|| = s < 1, and
+      a = (1 - s)/||y|| keeps both norms at 1.
+
+    The answer is max(||y V_J||, ||W_J* y||) / ||y|| <= member_tol (1e-7),
+    the frames read from x.svds.  A zero y answers True.  An x off norm one
+    raises PreconditionError, the zero element DegenerateInputError.
     """
     y_norm = _direction_norm(x, y)
+    _, off = norm_one_gate(x, tol=tol)
+    if off:
+        raise PreconditionError(f"x1_member {off}")
     if y_norm <= _NEGLIGIBLE:
-        # 0 belongs to both comparison sets; admitted by continuity.
         return True
-    tol = _MEMBER_TOL
-
-    def deviations(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(D, F) at every a in the real array a."""
-        plus, minus = _grid_norms(x, y, np.concatenate([a, -a])).reshape(2, -1)
-        return np.maximum(np.abs(plus - 1.0), np.abs(minus - 1.0)), np.maximum(plus, minus)
-
-    def objective(a: float) -> float:
-        return float(deviations(np.array([a]))[0][0])
-
-    grid = np.geomspace(_X1_RANGE[0] / y_norm, _X1_RANGE[1] / y_norm, _X1_POINTS)
-    for points in (grid[:1], grid):  # the first point alone, then the whole grid
-        vals, f = deviations(points)
-        k = int(np.argmin(vals))
-        best = float(vals[k])
-        if best <= tol:
-            return True
-        lo = max(k - 1, 0)
-        if f[lo] > 1.0 + tol + 2.0 * _NORM_ROUNDING * f[lo]:
-            return False
-    hi = min(k + 1, len(grid) - 1)
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(grid[lo]), float(grid[hi])
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-        best = min(best, fc, fd)
-        if best <= tol / 10.0:
-            break
-    return best <= tol
+    deviation = 0.0
+    for res, yb, j in zip(x.svds, y.blocks, norming_set(x, tol=tol).unit_indices):
+        if j:
+            w, v = res.left[:, list(j)], res.right[:, list(j)]
+            pair = np.stack([yb @ v, yb.conj().T @ w])  # ||W_J* y|| = ||y* W_J||
+            deviation = max(deviation, float(linalg.singular_values(pair)[:, 0].max()))
+    return deviation <= _MEMBER_TOL * y_norm
 
 
 def x2_deviation(x: Element, y: Element) -> float:
@@ -383,7 +352,8 @@ def _certainly_below(grams, rho: np.ndarray, c: np.ndarray) -> bool:
 
 
 def _defect_direction(x: Element, rng: np.random.Generator) -> Element | None:
-    """A normalized direction from the corner (1-q) A (1-p), p = x*x, q = xx*."""
+    """A normalized direction from the corner (1-q) A (1-p), p = x*x, q = xx*,
+    or None below _DEFECT_FLOOR; harness T1F and gate criterion 1 draw it."""
     shape = x.shape
     blocks = []
     for b in x.blocks:
@@ -408,23 +378,36 @@ def _random_direction(x: Element, rng: np.random.Generator) -> Element:
     return (1.0 / element_norm(y)) * y
 
 
-def _defect_probes(x: Element, rng: np.random.Generator):
-    """(y, x1_member(x, y)) for each nonzero defect direction y among
-    _N_DIRECTIONS draws from rng, drawn on demand."""
+def _defect_probes(x: Element, face: NormingSetDescription, rng: np.random.Generator):
+    """_N_DIRECTIONS normalized probes y = W_K G V_K* per block, drawn on
+    demand from rng: K holds the inactive indices, sigma < 1 -
+    tol.classification (outside the unit frame J of face = norming_set(x)),
+    and G is complex Gaussian.  y V_J = 0 and W_J* y = 0, so each probe is in
+    X1 (the "if" half of `x1_member`, with a = 1 - max sigma_K).  On a
+    partial isometry K is the kernel, the defect corner (1 - xx*) A (1 - x*x).
+    An x with no inactive index gives no probe."""
+    frames = []
+    for res, j in zip(x.svds, face.unit_indices):
+        k = [i for i in range(len(res.singular_values)) if i not in j]
+        frames.append((res.left[:, k], res.right[:, k].conj().T, len(k)))
+    if not any(n for _, _, n in frames):
+        return
     for _ in range(_N_DIRECTIONS):
-        y = _defect_direction(x, rng)
-        if y is not None:
-            yield y, x1_member(x, y)
+        gs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _, _, n in frames]
+        scale = max(linalg.operator_norm(g) for g in gs)
+        yield Element(x.shape, tuple(w @ (g / scale) @ vh for (w, vh, _), g in zip(frames, gs)))
 
 
 def is_partial_isometry_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
-    """Geometric route: no witness exists and the two comparison-set testers
-    agree on the defect probes drawn from default_rng(0).  A direction y
-    meets X1 only where the norming face of x nearly annihilates it, so the
-    probes come from the defect corner (1 - xx*) A (1 - x*x); a unitary has
-    none, and `directions_checked` reads 0."""
+    """Geometric route: no witness exists and X2 holds on each defect probe
+    drawn from default_rng(0).  The probes come from the inactive singular
+    frames of x (`_defect_probes`), so each lies in X1 by construction, and
+    X1 = X2 on them is X2 alone; a unitary has no inactive frame, and
+    `directions_checked` reads 0."""
     pi = is_partial_isometry_algebraic(x, tol=tol)
-    return _pi_verdict(x, pi, construct_witness(x, tol=tol), _defect_probes(x, np.random.default_rng(0)), tol)
+    witness = construct_witness(x, tol=tol)
+    probes = _defect_probes(x, norming_set(x, tol=tol), np.random.default_rng(0))
+    return _pi_verdict(x, pi, witness, probes, tol)
 
 
 def _pi_verdict(
@@ -436,8 +419,8 @@ def _pi_verdict(
         geometric = False
     else:
         geometric, checked = True, 0
-        for checked, (y, in_x1) in enumerate(probes, 1):
-            if in_x1 != x2_member(x, y):
+        for checked, y in enumerate(probes, 1):
+            if not x2_member(x, y):
                 geometric = False
                 break
         evidence["directions_checked"] = checked
@@ -451,18 +434,21 @@ def is_extreme_point(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Ver
     ball are exactly the unitaries (Kadison, Isometries of operator
     algebras, Ann. Math. 1951), so the algebraic route is the unitary
     oracle `is_unitary_algebraic`.  Geometric route: no witness and no
-    defect probe lies in X1, the probes drawn from default_rng(0).
+    inactive singular frame.  An inactive frame carries a probe in X1 (see
+    `_defect_probes`), and without one X1 is {0} by the face test of
+    `x1_member`.  On a norm-one x, no inactive frame is exactly
+    span_dim == dual_dim of `norming_set`.
     """
-    probes = _defect_probes(x, np.random.default_rng(0))
-    return _extreme_verdict(is_unitary_algebraic(x, tol=tol), construct_witness(x, tol=tol), probes, tol)
+    witness = construct_witness(x, tol=tol)
+    span_full = norming_set(x, tol=tol).span_dim == x.shape.dual_dimension
+    return _extreme_verdict(is_unitary_algebraic(x, tol=tol), witness, span_full, tol)
 
 
 def _extreme_verdict(
-    unitary: bool, witness: PartialIsometryWitness | None, probes, tol: Tolerances
+    unitary: bool, witness: PartialIsometryWitness | None, span_full: bool, tol: Tolerances
 ) -> Verdict:
     evidence = {} if witness is None else {"witness": witness}
-    geometric = witness is None and not any(in_x1 for _, in_x1 in probes)
-    return Verdict("extreme_point", unitary, geometric, evidence, tol.as_dict())
+    return Verdict("extreme_point", unitary, witness is None and span_full, evidence, tol.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -811,20 +797,23 @@ def classify_all(
 ) -> dict[str, Verdict | str]:
     """Each predicate, in report order, mapped to its verdict or to the reason
     its norm-one route does not apply; self-adjoint, positive and projection
-    only when unit.  The PI oracle, the witness, ||x - x*|| and the
-    positivity verdict are computed once each, where the standalone routes
-    run in this order first would (off norm one, the PI oracle waits for the
-    projection route).  The zero element raises DegenerateInputError."""
+    only when unit.  The PI oracle, the witness, the norming set,
+    ||x - x*|| and the positivity verdict are computed once each, where the
+    standalone routes run in this order first would (off norm one, the PI
+    oracle waits for the projection route).  The extreme-point verdict reads
+    the unitary verdict's span_dim == dual_dim.  The zero element raises
+    DegenerateInputError."""
     _, off = norm_one_gate(x, tol=tol)
     verdicts: dict[str, Verdict | str] = {}
     pi = None
     if off is None:
         pi = is_partial_isometry_algebraic(x, tol=tol)
         witness = construct_witness(x, tol=tol)
-        probes = list(_defect_probes(x, np.random.default_rng(0))) if witness is None else []
+        face = norming_set(x, tol=tol)
+        probes = _defect_probes(x, face, np.random.default_rng(0))
         verdicts["partial_isometry"] = _pi_verdict(x, pi, witness, probes, tol)
-        unitary = verdicts["unitary"] = is_unitary_geometric(x, tol=tol)
-        verdicts["extreme_point"] = _extreme_verdict(unitary.algebraic, witness, probes, tol)
+        unitary = verdicts["unitary"] = _unitary_verdict(x, face, tol)
+        verdicts["extreme_point"] = _extreme_verdict(unitary.algebraic, witness, unitary.geometric, tol)
     else:
         verdicts.update(dict.fromkeys(("partial_isometry", "unitary", "extreme_point"), off))
     verdicts["invertible"] = _invertible_verdict(x, tol)

@@ -204,10 +204,10 @@ def _trial_t1f(shape, rng, tol: Tolerances):
         y = classify._defect_direction(x, rng)
         if y is not None:
             dev = max(dev, x2_deviation(x, y))
-            if not x1_member(x, y):
+            if not x1_member(x, y, tol=tol):
                 ok = False
         z = classify._random_direction(x, rng)
-        if x1_member(x, z) != x2_member(x, z):
+        if x1_member(x, z, tol=tol) != x2_member(x, z):
             ok = False
     return ok and dev <= tol.equality, dev
 

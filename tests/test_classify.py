@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import diag_element, random_complex, random_hermitian
-from opgeo import algebra, classify, documents, harness, linalg
+from opgeo import algebra, classify, documents, linalg
 from opgeo.algebra import (
     AlgebraShape,
     Element,
@@ -245,32 +245,32 @@ def seed_x1_member(x: Element, y: Element) -> bool:
 
 
 def _x1_corpus(shape: AlgebraShape, rng: np.random.Generator):
-    """(x, y) pairs: partial isometries, norm-one non-PIs and unitaries, plus a
-    half-norm copy of one of them and copies scaled by 1 - delta, against
-    defect, random, witness and zero directions and defect directions nudged
-    off the defect corner."""
+    """(x, y, kind) triples: partial isometries, norm-one non-PIs and
+    unitaries, plus a half-norm copy of one of them and copies scaled by
+    1 - delta, against zero, random, defect and witness directions and
+    defect directions nudged off the defect corner (kinds "nudged 1e-3" and
+    "nudged 1e-7").  The scaled copies pass the norm gate and keep their
+    unit frame, so their defect directions lie off it by about delta."""
     xs = [
         gen_partial_isometry(shape, random_ranks(shape, rng), rng),
         gen_norm_one_non_pi(shape, rng),
         gen_unitary(shape, rng),
     ]
     xs.append(0.5 * xs[int(rng.integers(0, 3))])
-    # just below norm one: the norm gate admits these, and the first X1 point
-    # can pass the bound on F but not D, so the grid and refinement run
     xs.extend((1.0 - delta) * xs[int(rng.integers(0, 3))] for delta in (1e-7, 5e-7, 1e-6))
     for x in xs:
-        yield x, Element.zero(shape)
-        yield x, _random_direction(x, rng)
+        yield x, Element.zero(shape), "zero"
+        yield x, _random_direction(x, rng), "random"
         d = _defect_direction(x, rng)
         if d is not None:
-            yield x, d
-            for eps in (1e-3, 1e-7):
-                yield x, d + eps * _random_direction(x, rng)
+            yield x, d, "defect"
+            for eps, kind in ((1e-3, "nudged 1e-3"), (1e-7, "nudged 1e-7")):
+                yield x, d + eps * _random_direction(x, rng), kind
         if abs(element_norm(x) - 1.0) <= 1e-12:
             w = construct_witness(x)
             if w is not None:
-                yield x, w.y
-                yield x, 3.7 * w.y
+                yield x, w.y, "witness"
+                yield x, 3.7 * w.y, "witness"
 
 
 def _count_linalg(monkeypatch, *names) -> Counter:
@@ -292,100 +292,111 @@ class TestX1Member:
         "dims", [(2,), (4,), (6,), (8,), (2, 3), (16,)], ids=lambda d: "+".join(f"M{n}" for n in d)
     )
     def test_matches_seed_oracle(self, dims):
+        # the face test against the grid search it replaced.  Off norm one it
+        # raises.  A 1e-3 nudge leaves the face by 5e-4 to 1e-3 of ||y||, so
+        # it is not in X1, though the grid's first point accepted most.
+        # Near the cut 1e-7, the two testers may differ: a 1e-7 nudge, and
+        # the defect direction of an x scaled by 1 - delta, which lies off
+        # the unit frame by about delta.  Everywhere else they agree.
         rng = np.random.default_rng(sum(dims) * 101 + len(dims))
         outcomes = []
         for _ in range(2):
-            for x, y in _x1_corpus(AlgebraShape(dims), rng):
-                expected = seed_x1_member(x, y)
+            for x, y, kind in _x1_corpus(AlgebraShape(dims), rng):
+                if classify.norm_one_gate(x)[1] is not None:
+                    with pytest.raises(PreconditionError):
+                        x1_member(x, y)
+                    continue
                 got = x1_member(x, y)
                 assert type(got) is bool
-                assert got == expected
+                scaled = abs(element_norm(x) - 1.0) > 1e-12
+                near_cut = kind == "nudged 1e-7" or (kind == "defect" and scaled)
+                if kind == "nudged 1e-3":
+                    assert got is False
+                elif not near_cut:
+                    assert got == seed_x1_member(x, y)
                 outcomes.append(got)
         assert True in outcomes and False in outcomes
 
-    def test_refinement_finds_an_isolated_member(self, monkeypatch):
-        # ||x + ay|| = ||x - ay|| = 1/2 + a: D vanishes only at a = 1/2, off the grid
-        x = diag_element([0.5, 0.5])
-        y = diag_element([1.0, -1.0])
-        assert seed_x1_member(x, y)
-        calls = _count_linalg(monkeypatch, "svd")
-        assert x1_member(x, y)
-        assert calls["svd", (2,)] > 10  # golden-section steps, one (+, -) pair each
+    def test_off_norm_one_raises(self):
+        # ||x + ay|| = ||x - ay|| = 1/2 + a for this pair; X1 is asked of
+        # norm-one x only
+        with pytest.raises(PreconditionError):
+            x1_member(diag_element([0.5, 0.5]), diag_element([1.0, -1.0]))
+        with pytest.raises(DegenerateInputError):
+            x1_member(diag_element([0.0, 0.0]), diag_element([1.0, -1.0]))
 
-    @pytest.mark.parametrize(("delta", "expected"), [(8.4e-7, True), (7e-7, False), (5e-7, False)])
-    def test_stages_near_the_tolerance(self, monkeypatch, delta, expected):
-        # x = sqrt(1 - delta), y = i: D(a) = |sqrt(1 - delta + a^2) - 1| vanishes
-        # at a = sqrt(delta), just below the grid, so it rises from the grid's
-        # first point a = 1e-3, where it is about (1e-6 - delta) / 2; the
-        # tolerance 1e-7 sits between delta = 8.4e-7 (accepted) and 7e-7
-        # (rejected), and F = D + 1 there, so that point alone decides
-        x = Element.from_blocks([np.array([[np.sqrt(1.0 - delta)]])])
-        y = Element.from_blocks([np.array([[1j]])])
-        assert seed_x1_member(x, y) is expected
-        calls = _count_linalg(monkeypatch, "svd")
-        assert x1_member(x, y) is expected
-        assert calls == Counter({("svd", (2,)): 1})  # the first point, both signs; no grid
+    @pytest.mark.parametrize("cls", ["pi", "nonpi"])
+    @pytest.mark.parametrize("dims", [(2,), (6,), (2, 3)], ids=lambda d: "+".join(f"M{n}" for n in d))
+    def test_frame_probes_keep_the_norm_at_one(self, dims, cls):
+        # the "if" half of the face test: with s the largest inactive
+        # singular value, a = (1 - s)/||y|| keeps ||x +/- ay|| <= 1
+        rng = np.random.default_rng(sum(dims) * 127 + len(dims))
+        shape = AlgebraShape(dims)
+        for _ in range(5):
+            if cls == "pi":
+                x = gen_partial_isometry(shape, random_ranks(shape, rng, proper=True), rng)
+            else:
+                x = gen_norm_one_non_pi(shape, rng)
+            face = norming_set(x)
+            s = max(  # the unit frame J is a prefix of the descending singular values
+                float(r.singular_values[len(j)])
+                for r, j in zip(x.svds, face.unit_indices)
+                if len(j) < len(r.singular_values)
+            )
+            probes = list(classify._defect_probes(x, face, np.random.default_rng(0)))
+            assert len(probes) == classify._N_DIRECTIONS
+            for y in probes:
+                assert element_norm(y) == pytest.approx(1.0, abs=1e-14)
+                assert x1_member(x, y)
+                a = (1.0 - s) / element_norm(y)
+                assert max(element_norm(x + a * y), element_norm(x - a * y)) <= 1.0 + 1e-12
 
-    def test_norm_along_the_grid_never_decreases(self):
-        # the premise of the first-point and bracket rejects: the computed
-        # F(a) = max(||x + ay||, ||x - ay||) is nondecreasing along the X1
-        # grid up to the rounding of two computed norms
-        rng = np.random.default_rng(10)
-        for dims in [(2,), (4,), (2, 3), (8,), (16,)]:
-            shape = AlgebraShape(dims)
-            for x in (gen_ginibre(shape, rng), gen_norm_one_non_pi(shape, rng),
-                      0.5 * gen_partial_isometry(shape, random_ranks(shape, rng), rng)):
-                for y in (_random_direction(x, rng), gen_ginibre(shape, rng)):
-                    grid = np.geomspace(1e-3, 10.0, classify._X1_POINTS) / element_norm(y)
-                    f = classify._grid_norms(x, y, np.concatenate([grid, -grid])).reshape(2, -1).max(axis=0)
-                    floor = np.maximum.accumulate(f)[:-1]
-                    assert np.all(f[1:] >= floor - 2.0 * classify._NORM_ROUNDING * floor)
+    @pytest.mark.parametrize(
+        "dims", [(2,), (4,), (2, 3)], ids=lambda d: "+".join(f"M{n}" for n in d)
+    )
+    def test_isometries_of_the_algebra_keep_the_answer(self, dims):
+        # Kadison: (x, y) -> (u x w, u y w) with u, w unitary, and the
+        # blockwise transpose, an isometry onto the opposite algebra, keep
+        # norms, so they keep X1
+        shape = AlgebraShape(dims)
+        rng = np.random.default_rng(sum(dims) * 131 + len(dims))
+        u, w = gen_unitary(shape, rng), gen_unitary(shape, rng)
 
-    def test_norm_one_inputs_stop_at_the_first_point(self, tmp_path, monkeypatch):
-        # ||x|| >= 1 gives D = F - 1, so on the norm-one inputs of the routes
-        # and of the harness the first point decides every X1 call
-        calls = _count_linalg(monkeypatch, "svd")
-        seen = []
-        original = classify.x1_member
+        def transpose(z):
+            return Element(z.shape, tuple(b.T for b in z.blocks))
 
-        def recorded(x, y):
-            calls.clear()
-            got = original(x, y)
-            seen.append((dict(calls), {("svd", (2,)): len(x.blocks)}))
-            return got
-
-        for module in (classify, harness):
-            monkeypatch.setattr(module, "x1_member", recorded)
-        for dims in [(6,), (2, 3)]:
-            for x in _small_ops_mix(AlgebraShape(dims), np.random.default_rng(sum(dims))).values():
-                path = tmp_path / "x.json"
-                path.write_text(json.dumps(documents.element_to_doc(x)))
-                with redirect_stdout(io.StringIO()):
-                    assert main(["classify", str(path), "--unit"]) == 0
-        # 12 trials: the classify inputs alone make fewer X1 calls since
-        # both norm-one routes share their defect probes
-        assert harness.run_suite(harness.TrialConfig(trials=12)).all_passed
-        assert len(seen) > 100
-        assert all(got == expected for got, expected in seen)
+        answers = []
+        for x, y, kind in _x1_corpus(shape, rng):
+            if abs(element_norm(x) - 1.0) > 1e-12 or kind == "nudged 1e-7":
+                continue
+            got = x1_member(x, y)
+            assert x1_member(u @ x @ w, u @ y @ w) is got
+            assert x1_member(transpose(x), transpose(y)) is got
+            answers.append(got)
+        assert True in answers and False in answers
 
     def test_classify_linalg_call_budget(self, tmp_path, monkeypatch):
         # one M6 rank-3 partial isometry (the small_ops draw); the
         # Element-based X1 search made 2020 calls, 88 before one classify
-        # pass and 80 before the routes shared their defect probes
+        # pass, 80 before the routes shared their defect probes and 47 while
+        # X1 was a grid search
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))["pi"]
         calls, matrices = _classify_linalg_calls(x, tmp_path, monkeypatch)
-        assert calls <= 47
+        assert calls <= 35
         # matrices decomposed, a stack counting each of its matrices: 2446
         # while every X1 call took the 80-matrix grid, 1432 before one pass,
         # 1424 before shared probes, 1294 while X2 measured its 208 points
-        # per probe; now 25 by SVD, 25 norms, 2 eigh and 6 x 13 Cholesky
-        assert matrices <= 130
+        # per probe, 130 while X1 measured its first grid point; now 13 by
+        # SVD, 19 norms, 2 eigh and 6 x 13 Cholesky
+        assert matrices <= 112
 
     # before one classify pass: 65 calls (166 matrices) and 26 (35); before
     # shared probes and the unitary oracle: 57 (158), 16 (23) and 82 (1426);
-    # the projection took 1296 matrices while X2 measured its whole grid
+    # the projection took 1296 matrices while X2 measured its whole grid;
+    # while X1 was a grid search and the witness measured ||y||: 21 (26),
+    # 16 (23) and 49 (132)
     @pytest.mark.parametrize(
-        ("cls", "max_calls", "max_matrices"), [("unitary", 21, 26), ("nonpi", 16, 23), ("projection", 49, 132)]
+        ("cls", "max_calls", "max_matrices"), [("unitary", 15, 20), ("nonpi", 15, 22), ("projection", 37, 114)]
     )
     def test_classify_linalg_call_budget_by_class(self, tmp_path, monkeypatch, cls, max_calls, max_matrices):
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))[cls]
@@ -476,13 +487,20 @@ class TestOneClassifyPass:
     @pytest.mark.parametrize("cls", ["pi", "unitary", "projection", "nonpi", "ginibre", "positive"])
     @pytest.mark.parametrize("dims", [(6,), (2, 3)], ids=["M6", "M2+M3"])
     def test_routes_share_one_set_of_defect_probes(self, tmp_path, monkeypatch, dims, cls):
-        # at most _N_DIRECTIONS defect draws per pass, one X1 answer per
-        # probe, X2 asked only of those probes, and the unitary oracle
-        # evaluated on x once for both the unitary and extreme-point verdicts
+        # at most _N_DIRECTIONS probes from the inactive frames per pass, X2
+        # asked only of those probes and X1 of none (each probe lies in X1),
+        # one norming set read by the probes and the unitary and
+        # extreme-point verdicts, and the unitary oracle evaluated on x once
         x = _small_ops_mix(AlgebraShape(dims), np.random.default_rng(sum(dims)))[cls]
         path = tmp_path / "x.json"
         path.write_text(json.dumps(documents.element_to_doc(x)))
-        draws, x1_seen, x2_seen, unitary_on_x = [], [], [], []
+        probes, faces, x1_seen, x2_seen, unitary_on_x = [], [], [], [], []
+        build = classify._defect_probes
+
+        def recorded_probes(*args):
+            for y in build(*args):
+                probes.append(y)
+                yield y
 
         def recorder(name, log, arg):
             original = getattr(classify, name)
@@ -494,17 +512,18 @@ class TestOneClassifyPass:
 
             monkeypatch.setattr(classify, name, recorded)
 
-        recorder("_defect_direction", draws, lambda args, got: got)
+        monkeypatch.setattr(classify, "_defect_probes", recorded_probes)
+        recorder("norming_set", faces, lambda args, got: _same_element(args[0], x))
         recorder("x1_member", x1_seen, lambda args, got: args[1])
         recorder("x2_member", x2_seen, lambda args, got: args[1])
         recorder("is_unitary_algebraic", unitary_on_x, lambda args, got: _same_element(args[0], x))
         with redirect_stdout(io.StringIO()):
             assert main(["classify", str(path), "--unit"]) == 0
-        probes = [y for y in draws if y is not None]
         norm_one = abs(x.norm - 1.0) <= DEFAULT_TOLERANCES.classification
-        assert len(draws) <= classify._N_DIRECTIONS
-        assert [id(y) for y in x1_seen] == [id(y) for y in probes]
-        assert {id(y) for y in x2_seen} <= {id(y) for y in probes}
+        assert len(probes) <= classify._N_DIRECTIONS
+        assert x1_seen == []
+        assert [id(y) for y in x2_seen] == [id(y) for y in probes]
+        assert faces == [True] * int(norm_one)
         assert unitary_on_x.count(True) == int(norm_one)
 
     @pytest.mark.parametrize("shape", [M2, M2_M3, AlgebraShape((6,))], ids=str)
@@ -570,7 +589,7 @@ class TestX2Member:
         rng = np.random.default_rng(sum(dims) * 103 + len(dims))
         outcomes = []
         for _ in range(2):
-            for x, y in _x1_corpus(AlgebraShape(dims), rng):
+            for x, y, _ in _x1_corpus(AlgebraShape(dims), rng):
                 expected = seed_x2_deviation(x, y)
                 assert x2_deviation(x, y) == expected
                 got = x2_member(x, y)
@@ -766,9 +785,10 @@ class TestNormSweeps:
         for _ in range(3):
             x, other = gen_norm_one_non_pi(shape, rng), gen_norm_one_non_pi(shape, rng)
             w = construct_witness(x)
-            expected, _, _ = seed_measure_witness(
-                x, x.norm, w.y, x.norm / element_norm(w.y), w.spectral_point, tol
-            )
+            # b = ||x||/||y|| reads ||y|| off x's snapshot, so it may differ
+            # from a fresh measurement of y in its last digits
+            assert w.b == pytest.approx(x.norm / element_norm(w.y), rel=1e-14, abs=0.0)
+            expected, _, _ = seed_measure_witness(x, x.norm, w.y, w.b, w.spectral_point, tol)
             assert _witness_numbers(w) == _witness_numbers(expected)
             for z, b in ((x, w.b), (x, 0.0), (other, w.b), (x, -2.5 * w.b)):
                 nrm = element_norm(z)
@@ -1187,24 +1207,45 @@ class TestPositive:
             assert v.evidence["unanimous"] is False
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the PI oracle cuts at tol.classification (1e-6), the X1/X2 testers "
-    "at the fixed member tolerance 1e-7: algebraic True, geometric False",
+@pytest.mark.parametrize(
+    "s",
+    [
+        pytest.param(
+            1e-6,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the PI oracle cuts at tol.classification (1e-6), X2 at the "
+                "fixed member tolerance 1e-7: algebraic True, geometric False",
+            ),
+        ),
+        # s counts as active (s >= 1 - 1e-6), so the probes come from the
+        # kernel frame alone, as for a partial isometry
+        1.0 - 5e-7,
+    ],
 )
-@pytest.mark.parametrize("s", [1e-6, 1.0 - 5e-7])
 def test_pi_routes_agree_next_to_the_cut(s):
     v = is_partial_isometry_geometric(diag_element([1.0, s, 0.0]))
     assert v.algebraic == v.geometric
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="diag(1, 1 - d) has no witness (s > 1 - _WITNESS_GAP) and its defect "
-    "corner falls below _DEFECT_FLOOR, so no probe is drawn and both geometric "
-    "answers are vacuously True, while the oracles see |1 - s^2| ~ 2d > 1e-6",
+@pytest.mark.parametrize(
+    "d",
+    [
+        pytest.param(
+            1e-6,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="s = 1 - 1e-6 counts as active (s >= 1 - 1e-6), so x has no "
+                "inactive frame and no probe, and both geometric answers are True, "
+                "while the oracles see |1 - s^2| ~ 2e-6 > 1e-6",
+            ),
+        ),
+        # s is inactive: its frame gives the probe c e22, which is in X1
+        # and off X2, and the extreme-point route sees the inactive frame
+        1e-5,
+        3e-5,
+    ],
 )
-@pytest.mark.parametrize("d", [1e-6, 1e-5, 3e-5])
 @pytest.mark.parametrize("route", [is_partial_isometry_geometric, is_extreme_point], ids=["pi", "extreme"])
 def test_norm_one_routes_agree_just_below_a_unitary(route, d):
     v = route(diag_element([1.0, 1.0 - d]))
@@ -1222,13 +1263,10 @@ def test_unitary_routes_agree_just_below_a_unitary(d):
     assert v.algebraic == v.geometric
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="x1_member's grid starts at a = 1e-3/||y||, above d: it answers False on "
-    "e22 and e^{i pi/4} e22 and True on i e22",
-)
 def test_x1_answer_is_independent_of_the_phase_just_below_a_unitary():
-    # ||x +- a c e22|| = 1 for every a <= d when |c| = 1, so each c e22 is in X1
+    # ||x +- a c e22|| = 1 for every a <= d when |c| = 1, so each c e22 is in
+    # X1; the X1 grid search started at a = 1e-3/||y||, above d, and its
+    # answer depended on c
     e22 = np.diag([0.0, 1.0])
     answers = {
         (d, c): x1_member(diag_element([1.0, 1.0 - d]), Element.from_blocks([c * e22]))

@@ -135,9 +135,9 @@ class TestT2:
 class TestT1F:
     """Seed 813040783, `--trials 2`: trial 0 of T1F draws a rank-1 partial
     isometry in M2 whose third random direction z lies off X2 (deviation
-    0.19), yet X1 accepts z at its first grid point a = 1e-3/||z||, where
-    max ||x +/- az|| - 1 is 8.2e-8, below the member tolerance, while it
-    grows to 0.185 at a = 1/||z||."""
+    0.19).  The X1 grid search accepted z at its first point
+    a = 1e-3/||z||, where max ||x +/- az|| - 1 is only 8.2e-8; the face test
+    rejects it, since z is 0.355 ||z|| off the unit frame of x."""
 
     SEED = 813040783
 
@@ -156,11 +156,6 @@ class TestT1F:
         assert classify.x2_deviation(x, z) == pytest.approx(0.192, abs=1e-3)
         assert classify.x2_member(x, z) is False
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="x1_member decides at its first grid point, where the quadratic "
-        "rise of ||x +/- az|| (8.2e-8) is still below the member tolerance 1e-7",
-    )
     def test_x1_rejects_the_near_set_direction(self):
         x, z = self._third_random_direction()
         assert classify.x1_member(x, z) is False

@@ -220,12 +220,11 @@ def verify_witness(
 _NORM_ROUNDING = 1e-12
 
 
-def _direction_norm(x: Element, y: Element) -> float:
-    """||y|| for a direction y of x's algebra; a y from another algebra
-    raises ShapeMismatchError, also when y is zero."""
+def _same_algebra(x: Element, y: Element) -> None:
+    """A direction y from another algebra than x raises ShapeMismatchError,
+    also when y is zero."""
     if x.shape != y.shape:
         raise ShapeMismatchError("elements live in different algebras")
-    return element_norm(y)
 
 
 def x1_member(x: Element, y: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -247,13 +246,14 @@ def x1_member(x: Element, y: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -
       a = (1 - s)/||y|| keeps both norms at 1.
 
     The answer is max(||y V_J||, ||W_J* y||) / ||y|| <= member_tol (1e-7),
-    the frames read from x.svds.  A zero y answers True.  An x off norm one
+    the frames read from x.svds and ||y|| from y.svds.  A zero y answers True.  An x off norm one
     raises PreconditionError, the zero element DegenerateInputError.
     """
-    y_norm = _direction_norm(x, y)
+    _same_algebra(x, y)
     _, off = norm_one_gate(x, tol=tol)
     if off:
         raise PreconditionError(f"x1_member {off}")
+    y_norm = y.norm
     if y_norm <= _NEGLIGIBLE:
         return True
     deviation = 0.0
@@ -267,8 +267,10 @@ def x1_member(x: Element, y: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -
 
 def x2_deviation(x: Element, y: Element) -> float:
     """max over the b-grid of | ||x + by|| - max(1, ||by||) |, measured in
-    two chunks: the 16 phases of the largest radius, then the other radii."""
-    y_norm = _direction_norm(x, y)
+    two chunks: the 16 phases of the largest radius, then the other radii.
+    ||y|| is measured afresh, not read from y's snapshot."""
+    _same_algebra(x, y)
+    y_norm = element_norm(y)
     if y_norm <= _NEGLIGIBLE:
         return abs(element_norm(x) - 1.0)
     return max(
@@ -281,16 +283,17 @@ def x2_member(x: Element, y: Element) -> bool:
     """Tester for the max-identity set: ||x + by|| = max(1, ||by||) on the grid.
 
     The answer is that of x2_deviation(x, y) <= member_tol.  With
-    r = max(1, |b| ||y||) and the rounding allowance
-    d = 2 * _NORM_ROUNDING * (r + ||x||), two certified bounds decide it
-    where they can, without measuring ||x + by||:
+    r = max(1, |b| ||y||), ||y|| read from y's snapshot, and the rounding
+    allowance d = 2 * _NORM_ROUNDING * (r + ||x||), two certified bounds
+    decide it where they can, without measuring ||x + by||:
 
     - below, per point b: ||x + by|| >= ||(x + by) v|| for the top right
       singular vector v of a block of x, then of y (from the snapshots
       `svds`), two matvecs per block for the whole grid.  Above
-      r + member_tol + d anywhere, the answer is False, and x's vectors
-      alone reject most directions off X2 without y's SVD; at least
-      r - member_tol + d settles that side of the point.
+      r + member_tol + d anywhere, the answer is False.  x's vectors are
+      held against the r of ||y||_F >= ||y||, so they alone reject most
+      directions off X2 without y's SVD; at least r - member_tol + d
+      settles that side of the point.
     - above, per radius rho: for |b| = rho, (x + by)*(x + by) is at most
       x*x + rho^2 y*y + 2 rho ||x*y||_F 1, so a successful Cholesky
       factorisation of c^2 1 minus that, on every block, gives
@@ -305,26 +308,28 @@ def x2_member(x: Element, y: Element) -> bool:
     direction of a partial isometry both bounds are exact (y v_x = 0,
     x v_y = 0 and x*y = 0), so nothing is measured.
     """
-    y_norm = _direction_norm(x, y)
-    if y_norm <= _NEGLIGIBLE:
-        return abs(element_norm(x) - 1.0) <= _MEMBER_TOL
+    _same_algebra(x, y)
     tol = _MEMBER_TOL
     rho = np.abs(_B_GRID[:, 0])
-    r = np.maximum(1.0, rho * y_norm)
-    d = 2.0 * _NORM_ROUNDING * (r + x.norm)
-    lower = 0.0
-    for snapshot in (x, y):
-        for xb, yb, res in zip(x.blocks, y.blocks, snapshot.svds):
-            v = res.right[:, 0]
-            w = xb @ v + _B_GRID[:, :, None] * (yb @ v)
-            lower = np.maximum(lower, np.sqrt(np.einsum("rpi,rpi->rp", w, w.conj()).real))
-        if np.any(lower > (r + tol + d)[:, None]):
-            return False
-    grams = []
-    for xb, yb in zip(x.blocks, y.blocks):
-        xh = xb.conj().T
-        cross = xh @ yb
-        grams.append((xh @ xb, yb.conj().T @ yb, 2.0 * np.sqrt(np.vdot(cross, cross).real)))
+
+    def reference(y_norm):
+        r = np.maximum(1.0, rho * y_norm)
+        return r, 2.0 * _NORM_ROUNDING * (r + x.norm)
+
+    # x's vectors first, against the r of ||y||_F >= ||y||: they reject most
+    # directions off X2 before y is decomposed
+    r, d = reference(np.sqrt(sum(np.vdot(yb, yb).real for yb in y.blocks)))
+    lower = _vector_lower_bound(x, y, x)
+    if np.any(lower > (r + tol + d)[:, None]):
+        return False
+    y_norm = y.norm
+    if y_norm <= _NEGLIGIBLE:
+        return abs(element_norm(x) - 1.0) <= tol
+    r, d = reference(y_norm)
+    lower = np.maximum(lower, _vector_lower_bound(x, y, y))
+    if np.any(lower > (r + tol + d)[:, None]):
+        return False
+    grams = _gram_terms(x, y)
     open_ = np.any(lower < (r - tol + d)[:, None], axis=1)
     if open_.any() and _certainly_below(grams, rho[open_], (r - tol - d)[open_]):
         return False
@@ -334,6 +339,67 @@ def x2_member(x: Element, y: Element) -> bool:
         return True
     norms = _grid_norms(x, y, _B_GRID[open_].ravel()).reshape(-1, _PHASES.size)
     return bool(np.all(np.abs(norms - r[open_, None]) <= tol))
+
+
+def _vector_lower_bound(x: Element, y: Element, snapshot: Element) -> np.ndarray:
+    """max over blocks of ||(x + by) v|| at every point b of the X2 grid, v
+    the top right singular vector of the block of snapshot (x or y)."""
+    lower = 0.0
+    for xb, yb, res in zip(x.blocks, y.blocks, snapshot.svds):
+        v = res.right[:, 0]
+        w = xb @ v + _B_GRID[:, :, None] * (yb @ v)
+        lower = np.maximum(lower, np.sqrt(np.einsum("rpi,rpi->rp", w, w.conj()).real))
+    return lower
+
+
+def _gram_terms(x: Element, y: Element) -> list:
+    """Per block (x*x, y*y, 2 ||x*y||_F), the terms of the bound
+    (x + by)*(x + by) <= x*x + |b|^2 y*y + 2 |b| ||x*y||_F 1."""
+    grams = []
+    for xb, yb in zip(x.blocks, y.blocks):
+        xh = xb.conj().T
+        cross = xh @ yb
+        grams.append((xh @ xb, yb.conj().T @ yb, 2.0 * np.sqrt(np.vdot(cross, cross).real)))
+    return grams
+
+
+def x2_deviation_bound(x: Element, y: Element) -> float:
+    """A certified bound on | ||x + by|| - max(1, |b| ||y||) | at every
+    radius |b| = rho of the X2 grid and at every phase of b, not only the
+    grid's 16, read from the snapshots of x and y without measuring
+    ||x + by||.  With r = max(1, rho ||y||), it is the largest over the
+    radii of max(upper - r, r - lower, 0), where per block (Weyl's
+    inequality; Higham, Accuracy and Stability of Numerical Algorithms,
+    2002):
+
+    - above: (x + by)*(x + by) <= x*x + rho^2 y*y + 2 rho ||x*y||_F 1, so
+      ||x + by|| <= sqrt(lambda_max(x*x + rho^2 y*y) + 2 rho ||x*y||_F),
+      one stacked eigvalsh over the 13 radii per block;
+    - below: ||x + by|| >= sigma_max(x) - rho ||y v_x|| and
+      ||x + by|| >= rho sigma_max(y) - ||x v_y||, with v_x, v_y the top
+      right singular vectors of the block of x and of y.
+
+    So it is at least x2_deviation(x, y) up to the rounding allowance
+    2 * _NORM_ROUNDING * (r + ||x||).  On a defect direction of a partial
+    isometry (x*y = 0, y v_x = 0, x v_y = 0) both sides are exact and the
+    bound is rounding.  A zero y gives | ||x|| - 1 |; a y from another
+    algebra raises ShapeMismatchError.
+    """
+    _same_algebra(x, y)
+    y_norm = y.norm
+    if y_norm <= _NEGLIGIBLE:
+        return abs(element_norm(x) - 1.0)
+    rho = np.abs(_B_GRID[:, 0])
+    upper = lower = 0.0
+    blocks = zip(_gram_terms(x, y), x.blocks, y.blocks, x.svds, y.svds)
+    for (xx, yy, cross), xb, yb, rx, ry in blocks:
+        top = np.linalg.eigvalsh(xx + (rho**2)[:, None, None] * yy)[:, -1]
+        upper = np.maximum(upper, np.sqrt(np.maximum(top + rho * cross, 0.0)))
+        yv, xv = yb @ rx.right[:, 0], xb @ ry.right[:, 0]
+        lower = np.maximum(lower, rx.singular_values[0] - rho * np.sqrt(np.vdot(yv, yv).real))
+        lower = np.maximum(lower, rho * ry.singular_values[0] - np.sqrt(np.vdot(xv, xv).real))
+    r = np.maximum(1.0, rho * y_norm)
+    return float(max(0.0, np.max(np.maximum(upper - r, r - lower))))
 
 
 def _certainly_below(grams, rho: np.ndarray, c: np.ndarray) -> bool:

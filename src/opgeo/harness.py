@@ -31,7 +31,7 @@ from opgeo.classify import (
     norming_annihilates_defect,
     recover_adjoint,
     x1_member,
-    x2_deviation,
+    x2_deviation_bound,
     x2_member,
     element_min_singular_value,
 )
@@ -197,13 +197,23 @@ def _trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 
 
 def _trial_t1f(shape, rng, tol: Tolerances):
+    """The forward direction on a partial isometry x.  Each defect
+    direction y must lie in X1, and its deviation is `x2_deviation_bound`,
+    which certifies | ||x + by|| - max(1, |b| ||y||) | <= dev at every phase
+    of each radius |b| = rho of the X2 grid, per block from
+
+        ||x + by||^2 <= lambda_max(x*x + rho^2 y*y) + 2 rho ||x*y||_F,
+        ||x + by|| >= max(sigma_max(x) - rho ||y v_x||, rho sigma_max(y) - ||x v_y||),
+
+    v_x, v_y the top right singular vectors.  Each random direction z must
+    get the same answer from X1 and X2."""
     x = gen_partial_isometry(shape, random_ranks(shape, rng), rng)
     dev = 0.0
     ok = True
     for _ in range(4):
         y = classify._defect_direction(x, rng)
         if y is not None:
-            dev = max(dev, x2_deviation(x, y))
+            dev = max(dev, x2_deviation_bound(x, y))
             if not x1_member(x, y, tol=tol):
                 ok = False
         z = classify._random_direction(x, rng)

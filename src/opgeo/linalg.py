@@ -105,11 +105,12 @@ def svd(a) -> SVDResult:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value: the LAPACK call behind np.linalg.norm(m, 2),
+    without its reduction, so the same number bit for bit."""
     m = np.asarray(a, dtype=np.complex128)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def trace_norm(a) -> float:

@@ -161,6 +161,31 @@ class TestT1F:
         assert classify.x1_member(x, z) is False
         assert run_suite(TrialConfig(seed=self.SEED, trials=2, suites=("T1F",))).all_passed
 
+    def test_defect_directions_take_the_certified_bound(self, monkeypatch):
+        # their deviation is read from the snapshots: no grid is measured on
+        # them, neither by x2_deviation nor by any other route
+        defects, measured = [], []
+        draw, grid_norms = classify._defect_direction, classify._grid_norms
+
+        def recorded_draw(x, rng):
+            defects.append(draw(x, rng))
+            return defects[-1]
+
+        def recorded_grid_norms(x, y, bs):
+            measured.append(y)
+            return grid_norms(x, y, bs)
+
+        def unexpected(x, y):
+            raise AssertionError("x2_deviation called")
+
+        monkeypatch.setattr(classify, "_defect_direction", recorded_draw)
+        monkeypatch.setattr(classify, "_grid_norms", recorded_grid_norms)
+        monkeypatch.setattr(classify, "x2_deviation", unexpected)
+        (result,) = run_suite(TrialConfig(seed=0, trials=20, suites=("T1F",))).suites
+        assert result.passes == 20
+        assert 0.0 < result.max_deviation <= 1e-10
+        assert len(defects) == 80 and not any(y is m for y in defects for m in measured)
+
 
 class TestT4:
     def test_one_norming_minimum_per_trial(self, monkeypatch):

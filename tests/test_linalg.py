@@ -84,6 +84,18 @@ class TestNorms:
     def test_operator_norm_diagonal(self):
         assert linalg.operator_norm(np.diag([1.0, 0.5])) == pytest.approx(1.0)
 
+    def test_operator_norm_is_the_two_norm_bit_for_bit(self):
+        # np.linalg.norm(m, 2) is the largest of the same LAPACK singular
+        # values, so operator_norm may drop the reduction, not the number
+        rng = np.random.default_rng(2024)
+        for n in (1, 2, 3, 4, 6, 8, 16, 32, 64):
+            for _ in range(3):
+                g = random_complex(n, rng)
+                k = int(rng.integers(0, n))
+                deficient = g[:, :k] @ random_complex(n, rng)[:k, :]  # rank k < n
+                for m in (g, deficient, 1e-200 * g, 1e-200 * deficient):
+                    assert linalg.operator_norm(m) == float(np.linalg.norm(m, 2))
+
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10_000), st.integers(2, 8))
     def test_cstar_identity(self, seed, n):

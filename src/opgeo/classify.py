@@ -5,21 +5,22 @@ adjoints) and a geometric route (built from norms and norming functionals
 only).  Non-partial-isometries are refuted by an explicit witness element;
 invertibles are certified by a unitary together with a spectral gap; the
 unitary route reads the norming span off a construction.  Where no witness
-exists, the partial-isometry route reads defect probes drawn from the
-inactive singular frames of x: per block y = W_K G V_K*, where K holds the
-singular values below the activity cut 1 - tol.classification of
-`norming_set`.  Each probe lies in X1 by the face test of `x1_member`, so the
-route asks whether X2 holds on each.  The extreme-point route asks whether x
-has an inactive frame at all, which on a norm-one x is span_dim < dual_dim:
-diag(1, 0.9995, 0) in M3 has no witness (no singular value lies in
-[gap, 1 - gap]), and both routes say False, X2 failing on the first probe.
-The probes come from a fixed stream, so a verdict depends on x alone.  The
-extreme points of the unit ball are the unitaries, so the extreme-point
-oracle is the unitary oracle.
+exists, the partial-isometry route reads one frame probe from the inactive
+singular frames of x: per block y = W_K V_K*, where K holds the singular
+values below the activity cut 1 - tol.classification of `norming_set`.  The
+probe lies in X1 by the face test of `x1_member`, and its X2 deviation is
+the largest inactive singular value s, the largest of any direction of X1
+(`_frame_probe`), so the route asks whether X2 holds on it.  The
+extreme-point route asks whether x has an inactive frame at all, which on a
+norm-one x is span_dim < dual_dim: diag(1, 0.9995, 0) in M3 has no witness
+(no singular value lies in [gap, 1 - gap]), and both routes say False, X2
+failing on the probe at deviation 0.9995.  No random stream is read, so a
+verdict depends on x alone.  The extreme points of the unit ball are the
+unitaries, so the extreme-point oracle is the unitary oracle.
 
 Every public classifier takes its operands and, when it reads a
-tolerance, the keyword-only `tol`; the witness function, the grids and the
-sample counts are the constants below.
+tolerance, the keyword-only `tol`; the witness function and the grids are
+the constants below.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ _PHASES = np.exp(1j * np.pi * np.arange(16) / 8.0)
 _B_GRID = np.logspace(-3.0, 3.0, 13)[:, None] * _PHASES[None, :]
 #: a direction belongs to X1 / X2 when its deviation is at most this
 _MEMBER_TOL = 1e-7
-#: inactive-frame draws behind the probes of the partial-isometry route
-_N_DIRECTIONS = 6
 #: the t of the defect audit
 _DEFECT_T_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
@@ -444,52 +443,53 @@ def _random_direction(x: Element, rng: np.random.Generator) -> Element:
     return (1.0 / element_norm(y)) * y
 
 
-def _defect_probes(x: Element, face: NormingSetDescription, rng: np.random.Generator):
-    """_N_DIRECTIONS normalized probes y = W_K G V_K* per block, drawn on
-    demand from rng: K holds the inactive indices, sigma < 1 -
-    tol.classification (outside the unit frame J of face = norming_set(x)),
-    and G is complex Gaussian.  y V_J = 0 and W_J* y = 0, so each probe is in
-    X1 (the "if" half of `x1_member`, with a = 1 - max sigma_K).  On a
-    partial isometry K is the kernel, the defect corner (1 - xx*) A (1 - x*x).
-    An x with no inactive index gives no probe."""
-    frames = []
-    for res, j in zip(x.svds, face.unit_indices):
-        k = [i for i in range(len(res.singular_values)) if i not in j]
-        frames.append((res.left[:, k], res.right[:, k].conj().T, len(k)))
-    if not any(n for _, _, n in frames):
-        return
-    for _ in range(_N_DIRECTIONS):
-        gs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _, _, n in frames]
-        scale = max(linalg.operator_norm(g) for g in gs)
-        yield Element(x.shape, tuple(w @ (g / scale) @ vh for (w, vh, _), g in zip(frames, gs)))
+def _frame_probe(x: Element, face: NormingSetDescription) -> Element | None:
+    """The partial isometry y = W_K V_K* per block, K the inactive indices
+    (sigma < 1 - tol.classification, outside the unit frame J of
+    face = norming_set(x)), or None when no block has an inactive index.  On
+    a partial isometry K is the kernel, and y lies in the defect corner
+    (1 - xx*) A (1 - x*x).
+
+    It is the direction of X1 with the largest X2 deviation (Akemann and
+    Pedersen, Proc. London Math. Soc. 1992).  Let s be the largest inactive
+    singular value over the blocks.
+
+    - y is in X1: y V_J = 0 and W_J* y = 0, and a = 1 - s keeps
+      ||x +/- ay|| <= 1 (the "if" half of `x1_member`).
+    - its deviation is s: per block x + by = W diag(sigma_J, sigma_K + b) V*,
+      so at b = rho >= 1, ||x + by|| = max(||x||, s + rho).
+    - no unit y' in X1 deviates more: x + by' = W_J diag(sigma_J) V_J* plus
+      x' + by' with ||x'|| = s, so max(||x||, |b| - s) <= ||x + by'|| <=
+      max(||x||, s + |b|).
+
+    So X2 holds on all of X1, up to the member tolerance, exactly when it
+    holds on y, and one X2 test on y decides the route."""
+    frames = list(zip(x.svds, face.unit_indices))  # J is a prefix of the descending sigma
+    if all(len(j) == r.singular_values.size for r, j in frames):
+        return None
+    return Element(x.shape, tuple(r.left[:, len(j):] @ r.right[:, len(j):].conj().T for r, j in frames))
 
 
 def is_partial_isometry_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
-    """Geometric route: no witness exists and X2 holds on each defect probe
-    drawn from default_rng(0).  The probes come from the inactive singular
-    frames of x (`_defect_probes`), so each lies in X1 by construction, and
-    X1 = X2 on them is X2 alone; a unitary has no inactive frame, and
-    `directions_checked` reads 0."""
+    """Geometric route: no witness exists and X2 holds on the frame probe
+    W_K V_K* of `_frame_probe`, which lies in X1 by construction and has the
+    largest X2 deviation of any direction of X1, so X1 = X2 on it is X2
+    alone; a unitary has no inactive frame, and `directions_checked` reads
+    0, else 1."""
     pi = is_partial_isometry_algebraic(x, tol=tol)
     witness = construct_witness(x, tol=tol)
-    probes = _defect_probes(x, norming_set(x, tol=tol), np.random.default_rng(0))
-    return _pi_verdict(x, pi, witness, probes, tol)
+    return _pi_verdict(x, pi, witness, norming_set(x, tol=tol), tol)
 
 
 def _pi_verdict(
-    x: Element, pi: bool, witness: PartialIsometryWitness | None, probes, tol: Tolerances
+    x: Element, pi: bool, witness: PartialIsometryWitness | None, face: NormingSetDescription, tol: Tolerances
 ) -> Verdict:
-    evidence: dict = {}
     if witness is not None:
-        evidence["witness"] = witness
-        geometric = False
+        geometric, evidence = False, {"witness": witness}
     else:
-        geometric, checked = True, 0
-        for checked, y in enumerate(probes, 1):
-            if not x2_member(x, y):
-                geometric = False
-                break
-        evidence["directions_checked"] = checked
+        probe = _frame_probe(x, face)
+        geometric = probe is None or x2_member(x, probe)
+        evidence = {"directions_checked": int(probe is not None)}
     return Verdict("partial_isometry", pi, geometric, evidence, tol.as_dict())
 
 
@@ -501,7 +501,7 @@ def is_extreme_point(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Ver
     algebras, Ann. Math. 1951), so the algebraic route is the unitary
     oracle `is_unitary_algebraic`.  Geometric route: no witness and no
     inactive singular frame.  An inactive frame carries a probe in X1 (see
-    `_defect_probes`), and without one X1 is {0} by the face test of
+    `_frame_probe`), and without one X1 is {0} by the face test of
     `x1_member`.  On a norm-one x, no inactive frame is exactly
     span_dim == dual_dim of `norming_set`.
     """
@@ -876,8 +876,7 @@ def classify_all(
         pi = is_partial_isometry_algebraic(x, tol=tol)
         witness = construct_witness(x, tol=tol)
         face = norming_set(x, tol=tol)
-        probes = _defect_probes(x, face, np.random.default_rng(0))
-        verdicts["partial_isometry"] = _pi_verdict(x, pi, witness, probes, tol)
+        verdicts["partial_isometry"] = _pi_verdict(x, pi, witness, face, tol)
         unitary = verdicts["unitary"] = _unitary_verdict(x, face, tol)
         verdicts["extreme_point"] = _extreme_verdict(unitary.algebraic, witness, unitary.geometric, tol)
     else:

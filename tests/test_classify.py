@@ -329,8 +329,9 @@ class TestX1Member:
     @pytest.mark.parametrize("cls", ["pi", "nonpi"])
     @pytest.mark.parametrize("dims", [(2,), (6,), (2, 3)], ids=lambda d: "+".join(f"M{n}" for n in d))
     def test_frame_probes_keep_the_norm_at_one(self, dims, cls):
-        # the "if" half of the face test: with s the largest inactive
-        # singular value, a = (1 - s)/||y|| keeps ||x +/- ay|| <= 1
+        # the "if" half of the face test: the frame probe has norm one, and
+        # with s the largest inactive singular value, a = 1 - s keeps
+        # ||x +/- ay|| <= 1
         rng = np.random.default_rng(sum(dims) * 127 + len(dims))
         shape = AlgebraShape(dims)
         for _ in range(5):
@@ -344,13 +345,11 @@ class TestX1Member:
                 for r, j in zip(x.svds, face.unit_indices)
                 if len(j) < len(r.singular_values)
             )
-            probes = list(classify._defect_probes(x, face, np.random.default_rng(0)))
-            assert len(probes) == classify._N_DIRECTIONS
-            for y in probes:
-                assert element_norm(y) == pytest.approx(1.0, abs=1e-14)
-                assert x1_member(x, y)
-                a = (1.0 - s) / element_norm(y)
-                assert max(element_norm(x + a * y), element_norm(x - a * y)) <= 1.0 + 1e-12
+            y = classify._frame_probe(x, face)
+            assert element_norm(y) == pytest.approx(1.0, abs=1e-14)
+            assert x1_member(x, y)
+            a = 1.0 - s
+            assert max(element_norm(x + a * y), element_norm(x - a * y)) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize(
         "dims", [(2,), (4,), (2, 3)], ids=lambda d: "+".join(f"M{n}" for n in d)
@@ -380,27 +379,29 @@ class TestX1Member:
         # one M6 rank-3 partial isometry (the small_ops draw); the
         # Element-based X1 search made 2020 calls, 88 before one classify
         # pass, 80 before the routes shared their defect probes, 47 while
-        # X1 was a grid search and 35 while X2 took ||y|| apart from y's
-        # snapshot
+        # X1 was a grid search, 35 while X2 took ||y|| apart from y's
+        # snapshot and 29 while the route tested six Gaussian frame probes
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))["pi"]
         calls, matrices = _classify_linalg_calls(x, tmp_path, monkeypatch)
-        assert calls <= 29
+        assert calls <= 13
         # matrices decomposed, a stack counting each of its matrices: 2446
         # while every X1 call took the 80-matrix grid, 1432 before one pass,
         # 1424 before shared probes, 1294 while X2 measured its 208 points
         # per probe, 130 while X1 measured its first grid point, 112 while
-        # X2 took ||y|| apart; now 13 by SVD, 13 singular-value norms, 2
-        # eigh and 6 x 13 Cholesky
-        assert matrices <= 106
+        # X2 took ||y|| apart, 106 with six probes; now x's and the probe's
+        # SVDs, singular-value norms, 2 eigh and one 13-radius Cholesky
+        # stack
+        assert matrices <= 30
 
     # before one classify pass: 65 calls (166 matrices) and 26 (35); before
     # shared probes and the unitary oracle: 57 (158), 16 (23) and 82 (1426);
     # the projection took 1296 matrices while X2 measured its whole grid;
     # while X1 was a grid search and the witness measured ||y||: 21 (26),
     # 16 (23) and 49 (132); the projection took 37 (114) while X2 took
-    # ||y|| apart from y's snapshot
+    # ||y|| apart from y's snapshot, and 31 (108) while the route tested
+    # six Gaussian frame probes
     @pytest.mark.parametrize(
-        ("cls", "max_calls", "max_matrices"), [("unitary", 15, 20), ("nonpi", 15, 22), ("projection", 31, 108)]
+        ("cls", "max_calls", "max_matrices"), [("unitary", 15, 20), ("nonpi", 15, 22), ("projection", 15, 32)]
     )
     def test_classify_linalg_call_budget_by_class(self, tmp_path, monkeypatch, cls, max_calls, max_matrices):
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))[cls]
@@ -491,20 +492,21 @@ class TestOneClassifyPass:
     @pytest.mark.parametrize("cls", ["pi", "unitary", "projection", "nonpi", "ginibre", "positive"])
     @pytest.mark.parametrize("dims", [(6,), (2, 3)], ids=["M6", "M2+M3"])
     def test_routes_share_one_set_of_defect_probes(self, tmp_path, monkeypatch, dims, cls):
-        # at most _N_DIRECTIONS probes from the inactive frames per pass, X2
-        # asked only of those probes and X1 of none (each probe lies in X1),
-        # one norming set read by the probes and the unitary and
-        # extreme-point verdicts, and the unitary oracle evaluated on x once
+        # at most one probe from the inactive frames per pass, X2 asked of
+        # that probe alone and X1 of none (the probe lies in X1), one norming
+        # set read by the probe and the unitary and extreme-point verdicts,
+        # and the unitary oracle evaluated on x once
         x = _small_ops_mix(AlgebraShape(dims), np.random.default_rng(sum(dims)))[cls]
         path = tmp_path / "x.json"
         path.write_text(json.dumps(documents.element_to_doc(x)))
         probes, faces, x1_seen, x2_seen, unitary_on_x = [], [], [], [], []
-        build = classify._defect_probes
+        build = classify._frame_probe
 
-        def recorded_probes(*args):
-            for y in build(*args):
+        def recorded_probe(*args):
+            y = build(*args)
+            if y is not None:
                 probes.append(y)
-                yield y
+            return y
 
         def recorder(name, log, arg):
             original = getattr(classify, name)
@@ -516,7 +518,7 @@ class TestOneClassifyPass:
 
             monkeypatch.setattr(classify, name, recorded)
 
-        monkeypatch.setattr(classify, "_defect_probes", recorded_probes)
+        monkeypatch.setattr(classify, "_frame_probe", recorded_probe)
         recorder("norming_set", faces, lambda args, got: _same_element(args[0], x))
         recorder("x1_member", x1_seen, lambda args, got: args[1])
         recorder("x2_member", x2_seen, lambda args, got: args[1])
@@ -524,7 +526,7 @@ class TestOneClassifyPass:
         with redirect_stdout(io.StringIO()):
             assert main(["classify", str(path), "--unit"]) == 0
         norm_one = abs(x.norm - 1.0) <= DEFAULT_TOLERANCES.classification
-        assert len(probes) <= classify._N_DIRECTIONS
+        assert len(probes) <= 1
         assert x1_seen == []
         assert [id(y) for y in x2_seen] == [id(y) for y in probes]
         assert faces == [True] * int(norm_one)
@@ -632,7 +634,7 @@ class TestX2Member:
         rng = np.random.default_rng(23)
         x = gen_partial_isometry(M2_M3, (1, 2), rng)
         x.svds  # the snapshot a classify pass has already taken
-        (y, *_) = classify._defect_probes(x, norming_set(x), rng)
+        y = classify._frame_probe(x, norming_set(x))
         calls = _count_linalg(monkeypatch, "svd", "norm", "cholesky")
         assert x2_member(x, y) is True
         assert calls == Counter({("svd", ()): 2, ("cholesky", (13,)): 2})
@@ -927,7 +929,7 @@ class TestPartialIsometryVerdicts:
         x = gen_partial_isometry(M2_M3, random_ranks(M2_M3, rng), rng)
         v = is_partial_isometry_geometric(x)
         assert v.algebraic and v.geometric and v.agreement
-        assert v.evidence["directions_checked"] > 0
+        assert v.evidence["directions_checked"] == 1
 
     def test_non_partial_isometry(self):
         v = is_partial_isometry_geometric(diag_element([1.0, 0.5]))
@@ -942,6 +944,93 @@ class TestPartialIsometryVerdicts:
     def test_extreme_point_proper_isometry_fails(self):
         v = is_extreme_point(diag_element([1.0, 0.0]))
         assert not v.algebraic and not v.geometric
+
+
+def _inactive_frame_corpus(shape: AlgebraShape, rng: np.random.Generator, count: int, band=(-8.0, -4.0)):
+    """(x, s) pairs: x = U diag(sigma) V* per block with Haar U and V,
+    sigma = 1 on the first k indices of each block (k >= 1 on the first) and
+    log-uniform in 10^band below, s the largest of those below."""
+    for _ in range(count):
+        blocks, s = [], 0.0
+        for i, n in enumerate(shape.block_dims):
+            k = int(rng.integers(1 if i == 0 else 0, n))
+            sigma = np.concatenate([np.ones(k), np.sort(10.0 ** rng.uniform(*band, n - k))[::-1]])
+            s = max([s, *sigma[k:]])
+            u, v = (gen_unitary(AlgebraShape((n,)), rng).blocks[0] for _ in range(2))
+            blocks.append((u * sigma) @ v.conj().T)
+        yield Element(shape, tuple(blocks)), float(s)
+
+
+class TestFrameProbe:
+    """`_frame_probe` is W_K V_K* on the inactive frames of x, and its X2
+    deviation is the largest inactive singular value s, the largest over X1."""
+
+    DIMS = [(2,), (4,), (6,), (2, 3)]
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: "+".join(f"M{n}" for n in d))
+    def test_deviation_is_the_largest_inactive_singular_value(self, dims):
+        shape = AlgebraShape(dims)
+        rng = np.random.default_rng(sum(dims) * 139 + len(dims))
+        for x, s in _inactive_frame_corpus(shape, rng, 6):
+            face = norming_set(x)
+            y = classify._frame_probe(x, face)
+            deviation = x2_deviation(x, y)
+            assert abs(deviation - s) <= 1e-12
+            # no Gaussian direction of the same frames, which spans X1,
+            # deviates more
+            for _ in range(4):
+                gs = [random_complex(n - len(j), rng) for n, j in zip(dims, face.unit_indices)]
+                frames = zip(x.svds, face.unit_indices, gs)
+                z = Element(shape, tuple(r.left[:, len(j):] @ g @ r.right[:, len(j):].conj().T for r, j, g in frames))
+                z = (1.0 / element_norm(z)) * z
+                assert x1_member(x, z)
+                assert x2_deviation(x, z) <= deviation + 1e-13
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: "+".join(f"M{n}" for n in d))
+    def test_isometries_of_the_algebra_keep_the_verdict_and_the_deviation(self, dims):
+        # x -> u x w (u, w unitary) and the blockwise transpose, an isometry
+        # onto the opposite algebra, map the probe of x to the probe of the
+        # image; s half a decade or more off the member tolerance 1e-7, on
+        # both sides
+        shape = AlgebraShape(dims)
+        rng = np.random.default_rng(sum(dims) * 149 + len(dims))
+        u, w = gen_unitary(shape, rng), gen_unitary(shape, rng)
+
+        def transpose(z):
+            return Element(z.shape, tuple(b.T for b in z.blocks))
+
+        def answer(z):
+            v = is_partial_isometry_geometric(z)
+            return (v.algebraic, v.geometric, v.evidence["directions_checked"])
+
+        verdicts = []
+        corpus = [z for band in ((-8.0, -7.5), (-5.5, -4.0)) for z in _inactive_frame_corpus(shape, rng, 3, band)]
+        for x, _ in corpus:
+            deviation = x2_deviation(x, classify._frame_probe(x, norming_set(x)))
+            verdicts.append(answer(x))
+            for image in (u @ x @ w, transpose(x)):
+                assert answer(image) == verdicts[-1]
+                probe = classify._frame_probe(image, norming_set(image))
+                assert x2_deviation(image, probe) == pytest.approx(deviation, abs=1e-12)
+        assert {v[1] for v in verdicts} == {True, False}
+
+    @pytest.mark.parametrize("shape", [M2, M2_M3, AlgebraShape((6,))], ids=str)
+    def test_a_unitary_has_no_probe(self, shape):
+        x = gen_unitary(shape, np.random.default_rng(3))
+        assert classify._frame_probe(x, norming_set(x)) is None
+
+    def test_classify_reads_no_random_stream(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        xs = [gen_partial_isometry(M2_M3, (1, 2), rng), gen_unitary(M2_M3, rng), gen_norm_one_non_pi(M2_M3, rng)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a classify pass drew from a random stream")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for x in xs:
+            verdicts = classify.classify_all(x, unit=True)
+            assert verdicts["partial_isometry"].agreement
+            assert is_partial_isometry_geometric(x).agreement
 
 
 class TestUnitary:
@@ -1305,7 +1394,18 @@ class TestPositive:
                 "fixed member tolerance 1e-7: algebraic True, geometric False",
             ),
         ),
-        # s counts as active (s >= 1 - 1e-6), so the probes come from the
+        pytest.param(
+            2e-7,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the PI oracle cuts at tol.classification (1e-6), X2 at the "
+                "fixed member tolerance 1e-7: algebraic True, geometric False",
+            ),
+        ),
+        # the frame probe's X2 deviation is s exactly, below the member
+        # tolerance 1e-7
+        5e-8,
+        # s counts as active (s >= 1 - 1e-6), so the probe comes from the
         # kernel frame alone, as for a partial isometry
         1.0 - 5e-7,
     ],

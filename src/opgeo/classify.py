@@ -214,8 +214,8 @@ def verify_witness(
 
 
 #: relative rounding allowance of one computed operator norm or norm bound
-#: (backward-stable SVD and Cholesky: a few n * eps for n <= 64, with room
-#: to spare)
+#: (backward-stable SVD and the closed-form bounds of `_x2_bounds`: a few
+#: n * eps for n <= 64, with room to spare)
 _NORM_ROUNDING = 1e-12
 
 
@@ -283,61 +283,37 @@ def x2_member(x: Element, y: Element) -> bool:
 
     The answer is that of x2_deviation(x, y) <= member_tol.  With
     r = max(1, |b| ||y||), ||y|| read from y's snapshot, and the rounding
-    allowance d = 2 * _NORM_ROUNDING * (r + ||x||), two certified bounds
-    decide it where they can, without measuring ||x + by||:
+    allowance d = 2 * _NORM_ROUNDING * (r + ||x||), bounds read from the
+    snapshots `svds` decide it where they can, without measuring ||x + by||:
 
-    - below, per point b: ||x + by|| >= ||(x + by) v|| for the top right
-      singular vector v of a block of x, then of y (from the snapshots
-      `svds`), two matvecs per block for the whole grid.  Above
-      r + member_tol + d anywhere, the answer is False.  x's vectors are
-      held against the r of ||y||_F >= ||y||, so they alone reject most
-      directions off X2 without y's SVD; at least r - member_tol + d
-      settles that side of the point.
-    - above, per radius rho: for |b| = rho, (x + by)*(x + by) is at most
-      x*x + rho^2 y*y + 2 rho ||x*y||_F 1, so a successful Cholesky
-      factorisation of c^2 1 minus that, on every block, gives
-      ||x + by|| <= c at all 16 phases up to rounding far below d (Higham,
-      Accuracy and Stability of Numerical Algorithms, 2002, section 10.1).
-      At c = r + member_tol - d it settles the other side of the radii whose
-      points all settled below; at c = r - member_tol - d, on the other
-      radii, it answers False.
+    - per point b: ||x + by|| >= ||(x + by) v|| for the top right singular
+      vector v of a block of x, then of y, two matvecs per block for the
+      whole grid.  Above r + member_tol + d anywhere, the answer is False.
+      x's vectors are held against the r of ||y||_F >= ||y||, so they alone
+      reject most directions off X2 without y's SVD.
+    - per radius: the two bounds of `_x2_bounds`.  Within member_tol - d of
+      r on both sides at every radius, the answer is True.
 
-    Only radii that neither bound settles are measured, by one stacked SVD
-    per block (`_grid_norms`), and compared with member_tol.  On a defect
-    direction of a partial isometry both bounds are exact (y v_x = 0,
-    x v_y = 0 and x*y = 0), so nothing is measured.
+    Anything else is measured by `x2_deviation`.  On a defect direction of
+    a partial isometry the bounds are exact, so nothing is measured.
     """
     _same_algebra(x, y)
     tol = _MEMBER_TOL
     rho = np.abs(_B_GRID[:, 0])
-
-    def reference(y_norm):
-        r = np.maximum(1.0, rho * y_norm)
-        return r, 2.0 * _NORM_ROUNDING * (r + x.norm)
-
     # x's vectors first, against the r of ||y||_F >= ||y||: they reject most
     # directions off X2 before y is decomposed
-    r, d = reference(np.sqrt(sum(np.vdot(yb, yb).real for yb in y.blocks)))
-    lower = _vector_lower_bound(x, y, x)
-    if np.any(lower > (r + tol + d)[:, None]):
+    r = np.maximum(1.0, rho * np.sqrt(sum(np.vdot(yb, yb).real for yb in y.blocks)))
+    at_points = _vector_lower_bound(x, y, x)
+    if np.any(at_points > (r + tol + 2.0 * _NORM_ROUNDING * (r + x.norm))[:, None]):
         return False
-    y_norm = y.norm
-    if y_norm <= _NEGLIGIBLE:
-        return abs(element_norm(x) - 1.0) <= tol
-    r, d = reference(y_norm)
-    lower = np.maximum(lower, _vector_lower_bound(x, y, y))
-    if np.any(lower > (r + tol + d)[:, None]):
+    r, upper, lower = _x2_bounds(x, y)
+    d = 2.0 * _NORM_ROUNDING * (r + x.norm)
+    at_points = np.maximum(at_points, _vector_lower_bound(x, y, y))
+    if np.any(at_points > (r + tol + d)[:, None]):
         return False
-    grams = _gram_terms(x, y)
-    open_ = np.any(lower < (r - tol + d)[:, None], axis=1)
-    if open_.any() and _certainly_below(grams, rho[open_], (r - tol - d)[open_]):
-        return False
-    if not open_.all() and not _certainly_below(grams, rho[~open_], (r + tol - d)[~open_]):
-        open_[:] = True
-    if not open_.any():
+    if np.all(upper <= r + tol - d) and np.all(lower >= r - tol + d):
         return True
-    norms = _grid_norms(x, y, _B_GRID[open_].ravel()).reshape(-1, _PHASES.size)
-    return bool(np.all(np.abs(norms - r[open_, None]) <= tol))
+    return x2_deviation(x, y) <= tol
 
 
 def _vector_lower_bound(x: Element, y: Element, snapshot: Element) -> np.ndarray:
@@ -351,69 +327,56 @@ def _vector_lower_bound(x: Element, y: Element, snapshot: Element) -> np.ndarray
     return lower
 
 
-def _gram_terms(x: Element, y: Element) -> list:
-    """Per block (x*x, y*y, 2 ||x*y||_F), the terms of the bound
-    (x + by)*(x + by) <= x*x + |b|^2 y*y + 2 |b| ||x*y||_F 1."""
-    grams = []
-    for xb, yb in zip(x.blocks, y.blocks):
-        xh = xb.conj().T
-        cross = xh @ yb
-        grams.append((xh @ xb, yb.conj().T @ yb, 2.0 * np.sqrt(np.vdot(cross, cross).real)))
-    return grams
+def _x2_bounds(x: Element, y: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, upper, lower) per radius rho of the X2 grid: r = max(1, rho ||y||)
+    and upper >= ||x + by|| >= lower at every phase of |b| = rho, read from
+    the snapshots of x and y and two matrix products per block.  Per block:
+
+    - above: (x + by)*(x + by) = x*x + rho^2 y*y + (b x*y + its adjoint), so
+      ||x + by||^2 <= ||x*x + rho^2 y*y|| + 2 rho ||x*y||_F.  With
+      S = [x; rho y], x*x + rho^2 y*y = S*S, whose norm is that of
+      SS* = [[xx*, rho xy*], [rho yx*, rho^2 yy*]].  A block matrix has
+      norm at most that of its nonnegative matrix of block norms (Bhatia,
+      Matrix Analysis, 1997), here [[a, k], [k, c]] with a = ||x||^2,
+      c = rho^2 ||y||^2 and k = rho ||xy*||_F, whose largest eigenvalue is
+      (a + c + sqrt((a - c)^2 + 4k^2)) / 2.
+    - below: ||x + by|| >= sigma_max(x) - rho ||y v_x|| and
+      ||x + by|| >= rho sigma_max(y) - ||x v_y||, with v_x, v_y the top
+      right singular vectors of the block of x and of y.
+
+    On a defect direction of a partial isometry (x*y = xy* = 0, y v_x = 0,
+    x v_y = 0) both sides equal max(||x||, rho ||y||).
+    """
+    rho = np.abs(_B_GRID[:, 0])
+    upper = lower = 0.0
+    for xb, yb, rx, ry in zip(x.blocks, y.blocks, x.svds, y.svds):
+        sx, sy = rx.singular_values[0], rho * ry.singular_values[0]
+        k, cross = (np.sqrt(np.vdot(m, m).real) for m in (xb @ yb.conj().T, xb.conj().T @ yb))
+        top = 0.5 * (sx**2 + sy**2 + np.sqrt((sx**2 - sy**2) ** 2 + 4.0 * (rho * k) ** 2))
+        upper = np.maximum(upper, np.sqrt(top + 2.0 * rho * cross))
+        yv, xv = yb @ rx.right[:, 0], xb @ ry.right[:, 0]
+        lower = np.maximum(lower, sx - rho * np.sqrt(np.vdot(yv, yv).real))
+        lower = np.maximum(lower, sy - np.sqrt(np.vdot(xv, xv).real))
+    return np.maximum(1.0, rho * y.norm), upper, lower
 
 
 def x2_deviation_bound(x: Element, y: Element) -> float:
     """A certified bound on | ||x + by|| - max(1, |b| ||y||) | at every
     radius |b| = rho of the X2 grid and at every phase of b, not only the
     grid's 16, read from the snapshots of x and y without measuring
-    ||x + by||.  With r = max(1, rho ||y||), it is the largest over the
-    radii of max(upper - r, r - lower, 0), where per block (Weyl's
-    inequality; Higham, Accuracy and Stability of Numerical Algorithms,
-    2002):
-
-    - above: (x + by)*(x + by) <= x*x + rho^2 y*y + 2 rho ||x*y||_F 1, so
-      ||x + by|| <= sqrt(lambda_max(x*x + rho^2 y*y) + 2 rho ||x*y||_F),
-      one stacked eigvalsh over the 13 radii per block;
-    - below: ||x + by|| >= sigma_max(x) - rho ||y v_x|| and
-      ||x + by|| >= rho sigma_max(y) - ||x v_y||, with v_x, v_y the top
-      right singular vectors of the block of x and of y.
+    ||x + by||: the largest over the radii of max(upper - r, r - lower, 0),
+    with (r, upper, lower) from `_x2_bounds`.
 
     So it is at least x2_deviation(x, y) up to the rounding allowance
     2 * _NORM_ROUNDING * (r + ||x||).  On a defect direction of a partial
-    isometry (x*y = 0, y v_x = 0, x v_y = 0) both sides are exact and the
-    bound is rounding.  A zero y gives | ||x|| - 1 |; a y from another
-    algebra raises ShapeMismatchError.
+    isometry both sides are exact and the bound is rounding.  A zero y
+    gives | ||x|| - 1 |; a y from another algebra raises ShapeMismatchError.
     """
     _same_algebra(x, y)
-    y_norm = y.norm
-    if y_norm <= _NEGLIGIBLE:
+    if y.norm <= _NEGLIGIBLE:
         return abs(element_norm(x) - 1.0)
-    rho = np.abs(_B_GRID[:, 0])
-    upper = lower = 0.0
-    blocks = zip(_gram_terms(x, y), x.blocks, y.blocks, x.svds, y.svds)
-    for (xx, yy, cross), xb, yb, rx, ry in blocks:
-        top = np.linalg.eigvalsh(xx + (rho**2)[:, None, None] * yy)[:, -1]
-        upper = np.maximum(upper, np.sqrt(np.maximum(top + rho * cross, 0.0)))
-        yv, xv = yb @ rx.right[:, 0], xb @ ry.right[:, 0]
-        lower = np.maximum(lower, rx.singular_values[0] - rho * np.sqrt(np.vdot(yv, yv).real))
-        lower = np.maximum(lower, rho * ry.singular_values[0] - np.sqrt(np.vdot(xv, xv).real))
-    r = np.maximum(1.0, rho * y_norm)
+    r, upper, lower = _x2_bounds(x, y)
     return float(max(0.0, np.max(np.maximum(upper - r, r - lower))))
-
-
-def _certainly_below(grams, rho: np.ndarray, c: np.ndarray) -> bool:
-    """Whether c^2 1 - x*x - rho^2 y*y - 2 rho ||x*y||_F 1 has a Cholesky
-    factorisation for every radius rho and every block, one stack per
-    block; grams holds per block (x*x, y*y, 2 ||x*y||_F)."""
-    try:
-        for xx, yy, cross in grams:
-            m = -(xx + (rho**2)[:, None, None] * yy)
-            i = np.arange(xx.shape[0])
-            m[:, i, i] += (c**2 - rho * cross)[:, None]
-            np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _defect_direction(x: Element, rng: np.random.Generator) -> Element | None:

@@ -202,11 +202,13 @@ def _trial_t1f(shape, rng, tol: Tolerances):
     which certifies | ||x + by|| - max(1, |b| ||y||) | <= dev at every phase
     of each radius |b| = rho of the X2 grid, per block from
 
-        ||x + by||^2 <= lambda_max(x*x + rho^2 y*y) + 2 rho ||x*y||_F,
+        ||x + by||^2 <= lambda_max([[a, k], [k, c]]) + 2 rho ||x*y||_F,
         ||x + by|| >= max(sigma_max(x) - rho ||y v_x||, rho sigma_max(y) - ||x v_y||),
 
-    v_x, v_y the top right singular vectors.  Each random direction z must
-    get the same answer from X1 and X2."""
+    a = ||x||^2, c = rho^2 ||y||^2, k = rho ||xy*||_F the block norms of
+    SS* for S = [x; rho y] (`classify._x2_bounds`), v_x, v_y the top right
+    singular vectors.  Each random direction z must get the same answer
+    from X1 and X2."""
     x = gen_partial_isometry(shape, random_ranks(shape, rng), rng)
     dev = 0.0
     ok = True

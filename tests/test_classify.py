@@ -380,28 +380,29 @@ class TestX1Member:
         # Element-based X1 search made 2020 calls, 88 before one classify
         # pass, 80 before the routes shared their defect probes, 47 while
         # X1 was a grid search, 35 while X2 took ||y|| apart from y's
-        # snapshot and 29 while the route tested six Gaussian frame probes
+        # snapshot, 29 while the route tested six Gaussian frame probes and
+        # 13 while X2 took a Cholesky stack
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))["pi"]
         calls, matrices = _classify_linalg_calls(x, tmp_path, monkeypatch)
-        assert calls <= 13
+        assert calls <= 12
         # matrices decomposed, a stack counting each of its matrices: 2446
         # while every X1 call took the 80-matrix grid, 1432 before one pass,
         # 1424 before shared probes, 1294 while X2 measured its 208 points
         # per probe, 130 while X1 measured its first grid point, 112 while
-        # X2 took ||y|| apart, 106 with six probes; now x's and the probe's
-        # SVDs, singular-value norms, 2 eigh and one 13-radius Cholesky
-        # stack
-        assert matrices <= 30
+        # X2 took ||y|| apart, 106 with six probes, 30 with a 13-radius
+        # Cholesky stack; now x's and the probe's SVDs, singular-value norms
+        # and 2 eigh
+        assert matrices <= 17
 
     # before one classify pass: 65 calls (166 matrices) and 26 (35); before
     # shared probes and the unitary oracle: 57 (158), 16 (23) and 82 (1426);
     # the projection took 1296 matrices while X2 measured its whole grid;
     # while X1 was a grid search and the witness measured ||y||: 21 (26),
     # 16 (23) and 49 (132); the projection took 37 (114) while X2 took
-    # ||y|| apart from y's snapshot, and 31 (108) while the route tested
-    # six Gaussian frame probes
+    # ||y|| apart from y's snapshot, 31 (108) while the route tested six
+    # Gaussian frame probes, and 15 (32) while X2 took a Cholesky stack
     @pytest.mark.parametrize(
-        ("cls", "max_calls", "max_matrices"), [("unitary", 15, 20), ("nonpi", 15, 22), ("projection", 15, 32)]
+        ("cls", "max_calls", "max_matrices"), [("unitary", 15, 20), ("nonpi", 15, 22), ("projection", 14, 19)]
     )
     def test_classify_linalg_call_budget_by_class(self, tmp_path, monkeypatch, cls, max_calls, max_matrices):
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))[cls]
@@ -623,55 +624,72 @@ class TestX2Member:
     def test_defect_probe_takes_no_grid_svd(self, monkeypatch):
         x, rng = self._m8_partial_isometry()
         y = _defect_direction(x, rng)
-        calls = _count_linalg(monkeypatch, "svd", "cholesky")
+        calls = _count_linalg(monkeypatch, "svd", "cholesky", "eigvalsh")
         assert x2_member(x, y) is True
-        # y's snapshot, and one factorisation per radius certifies all 16 phases
-        assert calls == Counter({("svd", ()): 1, ("cholesky", (13,)): 1})
+        # y's snapshot; the closed-form bounds certify every radius and phase
+        assert calls == Counter({("svd", ()): 1})
 
     def test_frame_probe_reads_the_direction_norm_from_its_snapshot(self, monkeypatch):
-        # ||y|| is sigma_max of y's snapshot, which the lower bound reads
-        # anyway: no operator norm besides the one SVD per block
+        # ||y|| is sigma_max of y's snapshot, which the bounds read anyway:
+        # no operator norm besides the one SVD per block
         rng = np.random.default_rng(23)
         x = gen_partial_isometry(M2_M3, (1, 2), rng)
         x.svds  # the snapshot a classify pass has already taken
         y = classify._frame_probe(x, norming_set(x))
-        calls = _count_linalg(monkeypatch, "svd", "norm", "cholesky")
+        calls = _count_linalg(monkeypatch, "svd", "norm", "cholesky", "eigvalsh")
         assert x2_member(x, y) is True
-        assert calls == Counter({("svd", ()): 2, ("cholesky", (13,)): 2})
+        assert calls == Counter({("svd", ()): 2})
 
-    @pytest.mark.parametrize("dims", [(4,), (2, 3), (8,)], ids=lambda d: "+".join(f"M{n}" for n in d))
+    @pytest.mark.parametrize(
+        "dims", [(2,), (4,), (6,), (8,), (2, 3), (16,)], ids=lambda d: "+".join(f"M{n}" for n in d)
+    )
     def test_near_the_cut_every_branch_matches_the_deviation(self, monkeypatch, dims):
         rng = np.random.default_rng(sum(dims) * 107 + len(dims))
         corpus = list(_near_cut_corpus(AlgebraShape(dims), rng))
-        certified, measured = [], []
-        below, grid_norms = classify._certainly_below, classify._grid_norms
+        measured = []
+        deviation_of = classify.x2_deviation
 
-        def recorded_below(*args):
-            certified.append(below(*args))
-            return certified[-1]
-
-        def recorded_grid_norms(*args):
+        def recorded_deviation(*args):
             measured.append(args)
-            return grid_norms(*args)
+            return deviation_of(*args)
 
-        monkeypatch.setattr(classify, "_certainly_below", recorded_below)
-        monkeypatch.setattr(classify, "_grid_norms", recorded_grid_norms)
         branches = Counter()
         for x, y, target in corpus:
             deviation = x2_deviation(x, y)
             assert abs(deviation - target) <= 1e-4 * target
-            certified.clear()
             measured.clear()
-            got = x2_member(x, y)
+            with monkeypatch.context() as m:
+                m.setattr(classify, "x2_deviation", recorded_deviation)
+                got = x2_member(x, y)
             assert got == (deviation <= 1e-7)
-            if measured:
-                branches["measured", got] += 1
-            elif got:
-                branches["accept"] += 1
-            else:
-                branches["reject below" if True in certified else "reject above"] += 1
-        assert {"accept", "reject above", "reject below"} <= set(branches)
-        assert {("measured", True), ("measured", False)} <= set(branches)
+            branches["measured" if measured else "bounds", got] += 1
+        assert set(branches) == {("bounds", True), ("bounds", False), ("measured", True), ("measured", False)}
+
+    @pytest.mark.parametrize(
+        "dims", [(2,), (8,), (32,), (64,), (16, 16)], ids=lambda d: "+".join(f"M{n}" for n in d)
+    )
+    def test_frame_probe_measures_nothing(self, monkeypatch, dims):
+        # the probe of a classify pass on a partial isometry: the bounds are
+        # exact there, so neither the deviation nor a grid norm is measured
+        shape = AlgebraShape(dims)
+        x = gen_partial_isometry(shape, tuple(n // 2 for n in dims), np.random.default_rng(sum(dims)))
+        y = classify._frame_probe(x, norming_set(x))
+
+        def refuse(*args):
+            raise AssertionError("measured")
+
+        monkeypatch.setattr(classify, "x2_deviation", refuse)
+        monkeypatch.setattr(classify, "_grid_norms", refuse)
+        assert x2_member(x, y) is True
+
+    def test_classify_takes_no_factorisation_or_eigenvalue_stack(self, tmp_path, monkeypatch):
+        x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))["pi"]
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(documents.element_to_doc(x)))
+        calls = _count_linalg(monkeypatch, "cholesky", "eigvalsh")
+        with redirect_stdout(io.StringIO()):
+            assert main(["classify", str(path), "--unit"]) == 0
+        assert calls == Counter()
 
 
 def _rounding_allowance(x: Element, y: Element) -> float:
@@ -734,6 +752,43 @@ class TestX2DeviationBound:
         for y in (Element.zero(M2_M3), unit(M2_M3)):
             with pytest.raises(ShapeMismatchError):
                 x2_deviation_bound(x, y)
+
+
+class TestX2Bounds:
+    """`classify._x2_bounds`, the per-radius bounds that `x2_member` and
+    `x2_deviation_bound` share."""
+
+    @pytest.mark.parametrize(
+        "dims", [(2,), (4,), (6,), (8,), (16,), (2, 3)], ids=lambda d: "+".join(f"M{n}" for n in d)
+    )
+    def test_bounds_every_point(self, dims):
+        # witnesses y and 3.7 y have x*y != 0 and xy* != 0, so the
+        # off-diagonal block norm k of the upper bound matters there
+        shape = AlgebraShape(dims)
+        rng = np.random.default_rng(sum(dims) * 131 + len(dims))
+        pairs = [(x, y) for x, y, _ in _x1_corpus(shape, rng)]
+        for _ in range(5):
+            x = gen_ginibre(shape, rng)
+            pairs.append((x, _random_direction(x, rng)))
+        off_grid = np.abs(classify._B_GRID[:, :1]) * np.exp(1j * np.pi / 17.0)
+        for x, y in pairs:
+            r, upper, lower = classify._x2_bounds(x, y)
+            d = 2.0 * classify._NORM_ROUNDING * (r + element_norm(x))
+            for bs in (classify._B_GRID, off_grid):
+                norms = classify._grid_norms(x, y, bs.ravel()).reshape(bs.shape)
+                assert np.all(norms <= (upper + d)[:, None])
+                assert np.all(norms >= (lower - d)[:, None])
+
+    @pytest.mark.parametrize("dims", [(2,), (6,), (64,), (16, 16)], ids=lambda d: "+".join(f"M{n}" for n in d))
+    def test_exact_on_defect_directions_and_frame_probes(self, dims):
+        shape = AlgebraShape(dims)
+        rng = np.random.default_rng(sum(dims) * 137 + len(dims))
+        for _ in range(3):
+            x = gen_partial_isometry(shape, tuple(n // 2 for n in dims), rng)
+            for y in (_defect_direction(x, rng), classify._frame_probe(x, norming_set(x))):
+                r, upper, lower = classify._x2_bounds(x, y)
+                assert np.all(upper - r <= 1e-12 * r)
+                assert np.all(r - lower <= 1e-12 * r)
 
 
 def _near_cut_corpus(shape: AlgebraShape, rng: np.random.Generator):

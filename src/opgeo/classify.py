@@ -33,11 +33,9 @@ from opgeo import linalg
 from opgeo.algebra import (
     DEFAULT_TOLERANCES,
     Element,
-    NormingMinimum,
     NormingSetDescription,
     Tolerances,
     element_norm,
-    min_real_over_norming,
     norming_set,
     sample_norming_densities,
 )
@@ -129,11 +127,17 @@ def norm_one_gate(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[
     return nrm, None
 
 
+def _same_algebra(x: Element, y: Element) -> None:
+    """A direction y from another algebra than x raises ShapeMismatchError,
+    also when y is zero."""
+    if x.shape != y.shape:
+        raise ShapeMismatchError("elements live in different algebras")
+
+
 def _grid_norms(x: Element, y: Element, bs) -> np.ndarray:
     """||x + b y|| for every b in the flat sequence of scalars bs, one
     stacked SVD per block.  A y from another algebra raises ShapeMismatchError."""
-    if x.shape != y.shape:
-        raise ShapeMismatchError("elements live in different algebras")
+    _same_algebra(x, y)
     bs = np.asarray(bs, dtype=np.complex128)
     norms = np.zeros(bs.shape[0])
     for xb, yb in zip(x.blocks, y.blocks):
@@ -214,16 +218,9 @@ def verify_witness(
 
 
 #: relative rounding allowance of one computed operator norm or norm bound
-#: (backward-stable SVD and the closed-form bounds of `_x2_bounds`: a few
-#: n * eps for n <= 64, with room to spare)
+#: (backward-stable SVD, the closed-form bounds of `_x2_bounds` and the norm
+#: of `verify_certificate`: a few n * eps for n <= 64, with room to spare)
 _NORM_ROUNDING = 1e-12
-
-
-def _same_algebra(x: Element, y: Element) -> None:
-    """A direction y from another algebra than x raises ShapeMismatchError,
-    also when y is zero."""
-    if x.shape != y.shape:
-        raise ShapeMismatchError("elements live in different algebras")
 
 
 def x1_member(x: Element, y: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -244,19 +241,26 @@ def x1_member(x: Element, y: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -
       x +/- ay = W_J V_J* + (x' +/- ay') with ||x'|| = s < 1, and
       a = (1 - s)/||y|| keeps both norms at 1.
 
-    The answer is max(||y V_J||, ||W_J* y||) / ||y|| <= member_tol (1e-7),
-    the frames read from x.svds and ||y|| from y.svds.  A zero y answers True.  An x off norm one
-    raises PreconditionError, the zero element DegenerateInputError.
+    The answer is that of `_in_face` on the face norming_set(x).  An x off
+    norm one raises PreconditionError, the zero element DegenerateInputError.
     """
     _same_algebra(x, y)
     _, off = norm_one_gate(x, tol=tol)
     if off:
         raise PreconditionError(f"x1_member {off}")
+    return _in_face(norming_set(x, tol=tol), y)
+
+
+def _in_face(face: NormingSetDescription, y: Element) -> bool:
+    """The face test of `x1_member` for x = face.base, whose face a caller
+    testing many directions builds once: max(||y V_J||, ||W_J* y||) / ||y||
+    <= member_tol (1e-7), the frames read from x.svds and ||y|| from y.svds.
+    A zero y answers True."""
     y_norm = y.norm
     if y_norm <= _NEGLIGIBLE:
         return True
     deviation = 0.0
-    for res, yb, j in zip(x.svds, y.blocks, norming_set(x, tol=tol).unit_indices):
+    for res, yb, j in zip(face.base.svds, y.blocks, face.unit_indices):
         if j:
             w, v = res.left[:, list(j)], res.right[:, list(j)]
             pair = np.stack([yb @ v, yb.conj().T @ w])  # ||W_J* y|| = ||y* W_J||
@@ -303,12 +307,14 @@ def x2_member(x: Element, y: Element) -> bool:
     # x's vectors first, against the r of ||y||_F >= ||y||: they reject most
     # directions off X2 before y is decomposed
     r = np.maximum(1.0, rho * np.sqrt(sum(np.vdot(yb, yb).real for yb in y.blocks)))
-    at_points = _vector_lower_bound(x, y, x)
+    on_x = _top_images(x, y, x)
+    at_points = _vector_lower_bound(on_x)
     if np.any(at_points > (r + tol + 2.0 * _NORM_ROUNDING * (r + x.norm))[:, None]):
         return False
-    r, upper, lower = _x2_bounds(x, y)
+    on_y = _top_images(x, y, y)
+    r, upper, lower = _x2_bounds(x, y, on_x, on_y)
     d = 2.0 * _NORM_ROUNDING * (r + x.norm)
-    at_points = np.maximum(at_points, _vector_lower_bound(x, y, y))
+    at_points = np.maximum(at_points, _vector_lower_bound(on_y))
     if np.any(at_points > (r + tol + d)[:, None]):
         return False
     if np.all(upper <= r + tol - d) and np.all(lower >= r - tol + d):
@@ -316,21 +322,28 @@ def x2_member(x: Element, y: Element) -> bool:
     return x2_deviation(x, y) <= tol
 
 
-def _vector_lower_bound(x: Element, y: Element, snapshot: Element) -> np.ndarray:
-    """max over blocks of ||(x + by) v|| at every point b of the X2 grid, v
-    the top right singular vector of the block of snapshot (x or y)."""
+def _top_images(x: Element, y: Element, snapshot: Element) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(x v, y v) per block, v the top right singular vector of the block of
+    snapshot (x or y): the two matvecs that `_vector_lower_bound` and
+    `_x2_bounds` share."""
+    return [(xb @ r.right[:, 0], yb @ r.right[:, 0]) for xb, yb, r in zip(x.blocks, y.blocks, snapshot.svds)]
+
+
+def _vector_lower_bound(images) -> np.ndarray:
+    """max over blocks of ||(x + by) v|| = ||xv + b yv|| at every point b of
+    the X2 grid, from the `_top_images` (xv, yv)."""
     lower = 0.0
-    for xb, yb, res in zip(x.blocks, y.blocks, snapshot.svds):
-        v = res.right[:, 0]
-        w = xb @ v + _B_GRID[:, :, None] * (yb @ v)
+    for xv, yv in images:
+        w = xv + _B_GRID[:, :, None] * yv
         lower = np.maximum(lower, np.sqrt(np.einsum("rpi,rpi->rp", w, w.conj()).real))
     return lower
 
 
-def _x2_bounds(x: Element, y: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _x2_bounds(x: Element, y: Element, on_x, on_y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, upper, lower) per radius rho of the X2 grid: r = max(1, rho ||y||)
     and upper >= ||x + by|| >= lower at every phase of |b| = rho, read from
-    the snapshots of x and y and two matrix products per block.  Per block:
+    the snapshots of x and y, two matrix products per block, and the
+    `_top_images` on_x of x's vectors and on_y of y's.  Per block:
 
     - above: (x + by)*(x + by) = x*x + rho^2 y*y + (b x*y + its adjoint), so
       ||x + by||^2 <= ||x*x + rho^2 y*y|| + 2 rho ||x*y||_F.  With
@@ -349,12 +362,11 @@ def _x2_bounds(x: Element, y: Element) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     rho = np.abs(_B_GRID[:, 0])
     upper = lower = 0.0
-    for xb, yb, rx, ry in zip(x.blocks, y.blocks, x.svds, y.svds):
+    for xb, yb, rx, ry, (_, yv), (xv, _) in zip(x.blocks, y.blocks, x.svds, y.svds, on_x, on_y):
         sx, sy = rx.singular_values[0], rho * ry.singular_values[0]
         k, cross = (np.sqrt(np.vdot(m, m).real) for m in (xb @ yb.conj().T, xb.conj().T @ yb))
         top = 0.5 * (sx**2 + sy**2 + np.sqrt((sx**2 - sy**2) ** 2 + 4.0 * (rho * k) ** 2))
         upper = np.maximum(upper, np.sqrt(top + 2.0 * rho * cross))
-        yv, xv = yb @ rx.right[:, 0], xb @ ry.right[:, 0]
         lower = np.maximum(lower, sx - rho * np.sqrt(np.vdot(yv, yv).real))
         lower = np.maximum(lower, sy - np.sqrt(np.vdot(xv, xv).real))
     return np.maximum(1.0, rho * y.norm), upper, lower
@@ -375,7 +387,7 @@ def x2_deviation_bound(x: Element, y: Element) -> float:
     _same_algebra(x, y)
     if y.norm <= _NEGLIGIBLE:
         return abs(element_norm(x) - 1.0)
-    r, upper, lower = _x2_bounds(x, y)
+    r, upper, lower = _x2_bounds(x, y, _top_images(x, y, x), _top_images(x, y, y))
     return float(max(0.0, np.max(np.maximum(upper - r, r - lower))))
 
 
@@ -605,32 +617,43 @@ def invertibility_certificate(
 def verify_certificate(
     x: Element, cert: InvertibilityCertificate, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> bool:
-    """Check a certificate: u unitary, xu* Hermitian, lambda_min >= epsilon,
-    each within tol.equality.
+    """Check a certificate (u, epsilon) with one norm.  Let
+    d = max_i ||u_i* u_i - 1||, t = 1/||x|| (x.norm, from x's snapshot) and
+    gap = t (epsilon - tol.equality).  Accept when d <= tol.equality,
+    gap > _NORM_ROUNDING and
 
-    Malformed certificates (epsilon <= 0, block mismatch) raise; a well-formed
-    certificate that fails the spectral conditions returns False.
+        ||u - t x|| <= sqrt(1 - d) - gap.
+
+    - Sound: ||u*u - 1|| <= d gives sigma_min(u) >= sqrt(1 - d), and Weyl's
+      inequality sigma_min(tx) >= sigma_min(u) - ||u - tx|| then gives
+      sigma_min(tx) >= gap.  Allowing _NORM_ROUNDING for the rounding of
+      the measured norm, every accepted certificate proves
+      sigma_min(x) >= epsilon - tol.equality - _NORM_ROUNDING ||x||, which
+      gap > _NORM_ROUNDING keeps above 0.  This holds for any t > 0, so the
+      snapshot only chooses t.
+    - Exact on the polar certificate: u = W V* and x = W diag(sigma) V* give
+      u - tx = W (1 - t sigma) V*, and t = 1/||x|| puts every 1 - t sigma_i
+      in [0, 1), so ||u - tx|| = 1 - t sigma_min.  There the rule is
+      sigma_min >= epsilon - tol.equality, up to the rounding d of u.
+
+    The unitaries are an invariant of the Banach space (Kadison, Ann. Math.
+    1951), so the test reads x only through ||x|| and ||u - tx||.  Malformed
+    certificates (epsilon not positive and finite, block mismatch) raise
+    MalformedCertificateError; the zero element and a well-formed
+    certificate that fails return False.
     """
-    return _check_certificate(x, cert, tol)[0]
-
-
-def _check_certificate(
-    x: Element, cert: InvertibilityCertificate, tol: Tolerances
-) -> tuple[bool, NormingMinimum | None]:
-    """`verify_certificate`'s verdict with the one minimum it read, None
-    when u is not unitary."""
     if not isinstance(cert, InvertibilityCertificate):
         raise MalformedCertificateError("not an invertibility certificate")
     if not (cert.epsilon > 0.0) or not np.isfinite(cert.epsilon):
         raise MalformedCertificateError(f"epsilon must be positive, got {cert.epsilon!r}")
     if cert.u.shape != x.shape:
         raise MalformedCertificateError("certificate unitary has mismatched block structure")
-    try:
-        result = min_real_over_norming(cert.u, x, tol=tol)
-    except PreconditionError:
-        return False, None
-    hermitian = result.hermitian_residual <= tol.equality
-    return hermitian and result.value >= cert.epsilon - tol.equality, result
+    d = max(linalg.operator_norm(b.conj().T @ b - np.eye(b.shape[0])) for b in cert.u.blocks)
+    t = 1.0 / x.norm if x.norm > 0.0 else 0.0  # 1/||x|| overflows to inf below ~1e-308
+    gap = t * (cert.epsilon - tol.equality)
+    if d > tol.equality or not _NORM_ROUNDING < gap < np.inf:
+        return False
+    return bool(element_norm(cert.u - t * x) <= max(0.0, 1.0 - d) ** 0.5 - gap)
 
 
 def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:

@@ -400,9 +400,11 @@ class TestX1Member:
     # while X1 was a grid search and the witness measured ||y||: 21 (26),
     # 16 (23) and 49 (132); the projection took 37 (114) while X2 took
     # ||y|| apart from y's snapshot, 31 (108) while the route tested six
-    # Gaussian frame probes, and 15 (32) while X2 took a Cholesky stack
+    # Gaussian frame probes, and 15 (32) while X2 took a Cholesky stack; the
+    # unitary and the non-PI took 15 (20) and 15 (22) while the certificate
+    # check took an eigvalsh of the Hermitian part of xu*
     @pytest.mark.parametrize(
-        ("cls", "max_calls", "max_matrices"), [("unitary", 15, 20), ("nonpi", 15, 22), ("projection", 14, 19)]
+        ("cls", "max_calls", "max_matrices"), [("unitary", 14, 19), ("nonpi", 14, 21), ("projection", 14, 19)]
     )
     def test_classify_linalg_call_budget_by_class(self, tmp_path, monkeypatch, cls, max_calls, max_matrices):
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))[cls]
@@ -754,6 +756,11 @@ class TestX2DeviationBound:
                 x2_deviation_bound(x, y)
 
 
+def _x2_bounds(x: Element, y: Element):
+    """`classify._x2_bounds` on the top singular images of x's and y's vectors."""
+    return classify._x2_bounds(x, y, classify._top_images(x, y, x), classify._top_images(x, y, y))
+
+
 class TestX2Bounds:
     """`classify._x2_bounds`, the per-radius bounds that `x2_member` and
     `x2_deviation_bound` share."""
@@ -772,7 +779,7 @@ class TestX2Bounds:
             pairs.append((x, _random_direction(x, rng)))
         off_grid = np.abs(classify._B_GRID[:, :1]) * np.exp(1j * np.pi / 17.0)
         for x, y in pairs:
-            r, upper, lower = classify._x2_bounds(x, y)
+            r, upper, lower = _x2_bounds(x, y)
             d = 2.0 * classify._NORM_ROUNDING * (r + element_norm(x))
             for bs in (classify._B_GRID, off_grid):
                 norms = classify._grid_norms(x, y, bs.ravel()).reshape(bs.shape)
@@ -786,7 +793,7 @@ class TestX2Bounds:
         for _ in range(3):
             x = gen_partial_isometry(shape, tuple(n // 2 for n in dims), rng)
             for y in (_defect_direction(x, rng), classify._frame_probe(x, norming_set(x))):
-                r, upper, lower = classify._x2_bounds(x, y)
+                r, upper, lower = _x2_bounds(x, y)
                 assert np.all(upper - r <= 1e-12 * r)
                 assert np.all(r - lower <= 1e-12 * r)
 
@@ -1110,6 +1117,17 @@ class TestUnitary:
         for key in SPAN_EVIDENCE:
             assert 0.0 <= v.evidence[key] <= 1e-13
 
+    def test_inactive_m1_block(self, rng):
+        # 0.5 + U in M1+M2: the norming span is U's 4 dimensions of the 5 of
+        # the dual, so neither route calls x unitary or an extreme point
+        x = Element(AlgebraShape((1, 2)), (np.array([[0.5]]), gen_unitary(M2, rng).blocks[0]))
+        standalone = [is_unitary_geometric(x), is_extreme_point(x)]
+        verdicts = classify.classify_all(x, unit=False)
+        for v in standalone + [verdicts["unitary"], verdicts["extreme_point"]]:
+            assert (v.algebraic, v.geometric) == (False, False), v.predicate
+        for v in (standalone[0], verdicts["unitary"]):
+            assert (v.evidence["span_dim"], v.evidence["dual_dimension"]) == (4, 5)
+
     def test_geometric_wrong_norm(self, rng):
         v = is_unitary_geometric(diag_element([2.0, 2.0]))
         assert not v.geometric
@@ -1243,6 +1261,77 @@ class TestInvertibility:
         x = diag_element([2.0, 1.0])
         bad = InvertibilityCertificate(u=diag_element([1.0, 0.5]), epsilon=0.5)
         assert not verify_certificate(x, bad)
+
+    @pytest.mark.parametrize(
+        "x, epsilon",
+        [
+            # epsilon - equality < 0 proves nothing: the Hermitian-part rule
+            # read lambda_min = 0 >= 5e-9 - 1e-8 and accepted this singular x
+            (diag_element([1.0, 0.0]), 5e-9),
+            # t = 1/||x|| = 5e-301 leaves a gap far below the rounding of a norm
+            (Element.from_blocks([1e300 * np.ones((2, 2), dtype=complex)]), 1.0),
+            (Element.zero(M2), 1.0),
+        ],
+        ids=["epsilon-below-the-slack", "gap-below-rounding", "zero"],
+    )
+    def test_singular_rejected(self, x, epsilon):
+        assert verify_certificate(x, InvertibilityCertificate(unit(M2), epsilon)) is False
+
+    @pytest.mark.parametrize("epsilon", [1.1e-8, 1.45e-8])
+    def test_nearly_unitary_u_pays_its_defect(self, epsilon):
+        # ||u*u - 1|| = 0.99e-8 passes the unitarity check, and ||u - x|| is
+        # 1 - 0.495e-8 on the singular diag(1, 0): a bound 1 - gap, without
+        # sqrt(1 - d), would accept
+        u = diag_element([1.0, np.sqrt(1.0 - 0.99e-8)])
+        x = diag_element([1.0, 0.0])
+        assert element_norm(u - x) <= 1.0 - (epsilon - DEFAULT_TOLERANCES.equality)
+        assert not verify_certificate(x, InvertibilityCertificate(u, epsilon))
+
+    @pytest.mark.parametrize(("excess", "verified"), [(0.5, True), (2.0, False)])
+    def test_epsilon_slack_is_equality(self, excess, verified):
+        # on diag(2, 1) with u = 1 the rule reads epsilon <= sigma_min + equality
+        eps = 1.0 + excess * DEFAULT_TOLERANCES.equality
+        assert verify_certificate(diag_element([2.0, 1.0]), InvertibilityCertificate(unit(M2), eps)) is verified
+
+    def test_non_normal_certificate_accepted(self):
+        # sigma_min(x) = 1 and ||1 - x/2|| = 0.61 <= 1 - (0.5 - 1e-8)/2: xu* is
+        # not Hermitian, which the Hermitian-part rule required
+        c, s = np.cos(0.3), np.sin(0.3)
+        x = Element.from_blocks([np.diag([2.0, 1.0]) @ np.array([[c, -s], [s, c]], dtype=complex)])
+        assert element_min_singular_value(x) == pytest.approx(1.0)
+        assert verify_certificate(x, InvertibilityCertificate(unit(M2), 0.5)) is True
+
+    def test_accepted_certificates_are_sound(self):
+        # Weyl: an accepted (u, epsilon) proves sigma_min(x) >= epsilon -
+        # equality - rounding ||x||, whatever u and epsilon were offered
+        rng = np.random.default_rng(29)
+        accepted = 0
+        for _ in range(200):
+            x = gen_ginibre(M2_M3, rng) if rng.random() < 0.5 else gen_invertible(M2_M3, rng)
+            u = gen_unitary(M2_M3, rng) if rng.random() < 0.3 else invertibility_certificate(x).u
+            epsilon = element_min_singular_value(x) * rng.uniform(0.5, 1.5) + 1e-3
+            if verify_certificate(x, InvertibilityCertificate(u, epsilon)):
+                accepted += 1
+                bound = epsilon - DEFAULT_TOLERANCES.equality - classify._NORM_ROUNDING * x.norm
+                assert element_min_singular_value(x) >= bound
+        assert 0 < accepted < 200
+
+    def test_two_singular_value_norms_per_block(self, monkeypatch):
+        # with x's snapshot taken: ||u*u - 1|| and ||u - tx|| per block, and
+        # no eigendecomposition
+        x = gen_invertible(M2_M3, np.random.default_rng(3))
+        cert = invertibility_certificate(x)
+        calls = []
+        for name in ("svd", "norm", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, np.shape(a), kwargs.get("compute_uv", True)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert verify_certificate(x, cert)
+        assert sorted(calls) == sorted([("svd", (n, n), False) for n in (2, 3)] * 2)
 
     def test_malformed_raises(self):
         x = diag_element([2.0, 1.0])

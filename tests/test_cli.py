@@ -232,6 +232,21 @@ class TestCertify:
         assert code == 4
         assert json.loads(out)["verified"] is False
 
+    def test_verify_singular_with_epsilon_below_the_slack_exits_4(self, tmp_path):
+        # diag(1, 0) is singular: an epsilon of 5e-9, below the slack
+        # `equality`, must not verify
+        path = write_doc(tmp_path, "x.json", documents.element_to_doc(diag_element([1.0, 0.0])))
+        cert_doc = {
+            "type": "invertibility-certificate",
+            "u": documents.element_to_doc(Element.identity(AlgebraShape((2,)))),
+            "epsilon": 5e-9,
+        }
+        cpath = write_doc(tmp_path, "cert.json", cert_doc)
+        code, out, err = run_cli("certify", path, "--predicate", "invertible", "--verify", cpath)
+        assert code == 4
+        assert json.loads(out) == {"verified": False, "epsilon": 5e-9}
+        assert "not verified" in err
+
     def test_partial_isometry_witness_round_trip(self, tmp_path, diag_half):
         code, out, _ = run_cli("certify", diag_half, "--predicate", "partial-isometry")
         assert code == 0

@@ -161,6 +161,20 @@ class TestT1F:
         assert classify.x1_member(x, z) is False
         assert run_suite(TrialConfig(seed=self.SEED, trials=2, suites=("T1F",))).all_passed
 
+    def test_one_norming_set_per_trial(self, monkeypatch):
+        # the eight X1 answers of a trial read one face of x
+        calls = []
+        build = algebra.norming_set
+
+        def counted(x, *, tol):
+            calls.append(x)
+            return build(x, tol=tol)
+
+        monkeypatch.setattr(algebra, "norming_set", counted)
+        monkeypatch.setattr(classify, "norming_set", counted)
+        assert run_suite(TrialConfig(seed=0, trials=20, suites=("T1F",))).all_passed
+        assert len(calls) == 20
+
     def test_defect_directions_take_the_certified_bound(self, monkeypatch):
         # their deviation is read from the snapshots: no grid is measured on
         # them, neither by x2_deviation nor by any other route
@@ -202,7 +216,6 @@ class TestT4:
             invertible.append(shape)
             return draw(shape, rng)
 
-        monkeypatch.setattr(classify, "min_real_over_norming", counted)
         monkeypatch.setattr(harness, "min_real_over_norming", counted)
         monkeypatch.setattr(harness, "gen_invertible", counted_draw)
         assert run_suite(TrialConfig(seed=0, trials=8, suites=("T4",))).all_passed

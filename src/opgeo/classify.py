@@ -26,6 +26,7 @@ the constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -497,12 +498,10 @@ def _extreme_verdict(
 
 
 def is_unitary_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """x*x = xx* = 1 within tol.classification."""
-    one = Element.identity(x.shape)
-    return (
-        element_norm(x.H @ x - one) <= tol.classification
-        and element_norm(x @ x.H - one) <= tol.classification
-    )
+    """x*x = xx* = 1 within tol.classification, from one norm: on square
+    blocks x*x and xx* have the same eigenvalues sigma^2, so
+    ||xx* - 1|| = ||x*x - 1|| = max |sigma^2 - 1|."""
+    return element_norm(x.H @ x - Element.identity(x.shape)) <= tol.classification
 
 
 def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -510,10 +509,11 @@ def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) ->
 
     The span dimension is read off the exact parameterization, and the
     verdict rests on it.  The frames certify it: on an active block with
-    unit singular frames W_J, V_J (k = |J|), the k^2 pure states v v* of
-    `_state_vectors(k)` give norming functionals V_J v v* W_J*, of value
-    f_v(x) = v* (W_J* x V_J) v = 1, spanning k^2 dimensions because
-    `_hermitian_from_states` inverts the state table.  The evidence reports
+    unit singular frames W_J, V_J (k = |J|), the k^2 spanning pure states
+    v v* of M_k give norming functionals V_J v v* W_J*, of value
+    f_v(x) = v* (W_J* x V_J) v = 1 (`_spanning_values` of the compression),
+    spanning k^2 dimensions because `_hermitian_from_states` inverts those
+    values.  The evidence reports
     max |f_v(x) - 1| and the frame deviations ||W_J* W_J - 1||,
     ||V_J* V_J - 1||.  Elements of norm != 1 have an empty norming set in
     this sense and are geometrically non-unitary, with the reason of
@@ -535,7 +535,7 @@ def _unitary_verdict(x: Element, desc: NormingSetDescription, tol: Tolerances) -
     for i in desc.active_blocks:
         j, r = list(desc.unit_indices[i]), x.svds[i]
         w, v, one = r.left[:, j], r.right[:, j], np.eye(len(j))
-        values = _state_values(w.conj().T @ x.blocks[i] @ v, _state_vectors(len(j)))
+        values = _spanning_values(w.conj().T @ x.blocks[i] @ v)
         value_dev = max(value_dev, float(np.max(np.abs(values - 1.0))))
         left_dev = max(left_dev, linalg.operator_norm(w.conj().T @ w - one))
         right_dev = max(right_dev, linalg.operator_norm(v.conj().T @ v - one))
@@ -698,17 +698,36 @@ def is_self_adjoint_lumer(x: Element) -> bool:
     )
 
 
-def _state_vectors(n: int) -> np.ndarray:
-    """Columns v of the n^2 pure states v v* spanning the states on M_n:
-    e_j, then for each pair j < k in `np.triu_indices` order, (e_j + e_k)/sqrt2
-    and (e_j + i e_k)/sqrt2 side by side."""
-    j, k = np.triu_indices(n, 1)
-    pair = n + 2 * np.arange(j.size)
-    vecs = np.zeros((n, n * n), dtype=np.complex128)
-    vecs[np.arange(n), np.arange(n)] = 1.0
-    vecs[j, pair] = vecs[k, pair] = vecs[j, pair + 1] = 1.0 / np.sqrt(2.0)
-    vecs[k, pair + 1] = 1j / np.sqrt(2.0)
-    return vecs
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs j < k of M_n, in `np.triu_indices` order, as read-only
+    index arrays (j, k)."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _spanning_values(b: np.ndarray) -> np.ndarray:
+    """The values v* b v of the n^2 pure states v v* spanning the states on
+    M_n, read from the entries of b: e_j gives b_jj, then each pair j < k of
+    `_pairs(n)` gives, side by side, with m = (b_jj + b_kk)/2,
+    (e_j + e_k)/sqrt2:    m + (b_jk + b_kj)/2,
+    (e_j + i e_k)/sqrt2:  m + i (b_jk - b_kj)/2.
+    This is the exact expansion of v* b v, so a route that reads these
+    values reads b only through the n^2 state values.  Every entry is
+    halved before it is added, as in `_hermitian_from_states`, so only a
+    value beyond the largest float overflows."""
+    n = b.shape[0]
+    j, k = _pairs(n)
+    half_jk, half_kj = 0.5 * b[j, k], 0.5 * b[k, j]
+    diag = b.diagonal()
+    mid = 0.5 * diag[j] + 0.5 * diag[k]
+    vals = np.empty(n * n, dtype=np.complex128)
+    vals[:n] = diag
+    vals[n::2] = mid + (half_jk + half_kj)
+    vals[n + 1 :: 2] = mid + 1j * (half_jk - half_kj)
+    return vals
 
 
 def _state_values(b: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -717,10 +736,10 @@ def _state_values(b: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_from_states(vals: np.ndarray, n: int) -> np.ndarray:
-    """The Hermitian h whose values on the states of `_state_vectors(n)` are
-    the real array vals.  With m = (h_jj + h_kk)/2, the pair (j, k) reads
-    m + Re h_jk and m - Im h_jk."""
-    j, k = np.triu_indices(n, 1)
+    """The Hermitian h whose `_spanning_values` are the real array vals.
+    With m = (h_jj + h_kk)/2, the pair (j, k) reads m + Re h_jk and
+    m - Im h_jk."""
+    j, k = _pairs(n)
     mid = 0.5 * vals[j] + 0.5 * vals[k]  # halves first: no overflow
     h = np.diag(vals[:n]).astype(np.complex128)
     h[j, k] = (vals[n::2] - mid) + 1j * (mid - vals[n + 1 :: 2])
@@ -731,15 +750,21 @@ def _hermitian_from_states(vals: np.ndarray, n: int) -> np.ndarray:
 def is_self_adjoint_states(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """f(x) real, within tol.equality, for the spanning family of
     matrix-unit-derived states."""
-    return all(
-        np.max(np.abs(_state_values(b, _state_vectors(b.shape[0])).imag)) <= tol.equality
-        for b in x.blocks
-    )
+    return _states_real([_spanning_values(b) for b in x.blocks], tol)
 
 
-def _self_adjoint_verdict(x: Element, herm_dev: float, tol: Tolerances) -> Verdict:
-    """herm_dev = ||x - x*|| within tol.classification against the Lumer and state routes."""
-    lumer, states = is_self_adjoint_lumer(x), is_self_adjoint_states(x, tol=tol)
+def _states_real(spanning: list[np.ndarray], tol: Tolerances) -> bool:
+    """Every spanning state value of x, one array per block, real within
+    tol.equality."""
+    return all(np.max(np.abs(vals.imag)) <= tol.equality for vals in spanning)
+
+
+def _self_adjoint_verdict(
+    x: Element, herm_dev: float, spanning: list[np.ndarray], tol: Tolerances
+) -> Verdict:
+    """herm_dev = ||x - x*|| within tol.classification against the Lumer
+    and state routes; spanning holds the `_spanning_values` of x's blocks."""
+    lumer, states = is_self_adjoint_lumer(x), _states_real(spanning, tol)
     evidence = {"lumer": lumer, "states": states}
     return Verdict("self_adjoint", herm_dev <= tol.classification, lumer and states, evidence, tol.as_dict())
 
@@ -750,13 +775,13 @@ def recover_adjoint(x: Element) -> Element:
 
     States are the norming functionals of the unit, so their values are
     norm data, and f(x) = f(h) + i f(k) with f(h), f(k) real.  Per block the
-    n^2 spanning states are evaluated on x once; `_hermitian_from_states`
-    inverts the real parts to h and the imaginary parts to k in closed form.
-    x enters only through these values."""
+    n^2 spanning states are evaluated on x once (`_spanning_values`);
+    `_hermitian_from_states` inverts the real parts to h and the imaginary
+    parts to k in closed form.  x enters only through these values."""
     out_blocks = []
     for b in x.blocks:
         n = b.shape[0]
-        vals = _state_values(b, _state_vectors(n))
+        vals = _spanning_values(b)
         out_blocks.append(
             _hermitian_from_states(vals.real, n) - 1j * _hermitian_from_states(vals.imag, n)
         )
@@ -778,28 +803,28 @@ def is_positive(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     Hermitian residual ||x - x*|| is compared with tol.classification,
     eigenvalues and state values with tol.equality.
     """
-    return _positive_verdict(x, element_norm(x - x.H), tol)
+    return _positive_verdict(x, element_norm(x - x.H), [_spanning_values(b) for b in x.blocks], tol)
 
 
-def _positive_verdict(x: Element, herm_dev: float, tol: Tolerances) -> Verdict:
+def _positive_verdict(x: Element, herm_dev: float, spanning: list[np.ndarray], tol: Tolerances) -> Verdict:
+    """`is_positive`, where spanning holds the `_spanning_values` of x's
+    blocks; only the 2n eigenstates per block are evaluated here."""
     lam_min = min_re = np.inf
-    max_im = spanning_max_im = 0.0
-    for b in x.blocks:
-        n = b.shape[0]
+    max_im = 0.0
+    for b, span in zip(x.blocks, spanning):
         eigvals, h_states = np.linalg.eigh(0.5 * (b + b.conj().T))
         lam_min = min(lam_min, float(eigvals[0]))
         _, k_states = np.linalg.eigh(-0.5j * (b - b.conj().T))
-        vals = _state_values(b, np.concatenate([_state_vectors(n), h_states, k_states], axis=1))
+        vals = np.concatenate([span, _state_values(b, np.concatenate([h_states, k_states], axis=1))])
         min_re = min(min_re, float(vals.real.min()))
         max_im = max(max_im, float(np.abs(vals.imag).max()))
-        spanning_max_im = max(spanning_max_im, float(np.abs(vals[: n * n].imag).max()))
     spectral = herm_dev <= tol.classification and lam_min >= -tol.equality
     state_route = min_re >= -tol.equality and max_im <= tol.equality
 
     # norm route: real on the spanning states, as in is_self_adjoint_states
     nrm = x.norm
     shift_ok = element_norm(nrm * Element.identity(x.shape) - x) <= nrm + tol.equality
-    norm_route = spanning_max_im <= tol.equality and shift_ok
+    norm_route = _states_real(spanning, tol) and shift_ok
 
     evidence = {
         "lambda_min": lam_min,
@@ -816,7 +841,7 @@ def is_projection(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdic
     partial isometry, and the symmetry x = (1 + v)/2 with v self-adjoint
     unitary, each residual within tol.classification."""
     herm_dev = element_norm(x - x.H)
-    positive = _positive_verdict(x, herm_dev, tol)
+    positive = _positive_verdict(x, herm_dev, [_spanning_values(b) for b in x.blocks], tol)
     return _projection_verdict(x, is_partial_isometry_algebraic(x, tol=tol), herm_dev, positive, tol)
 
 
@@ -870,8 +895,9 @@ def classify_all(
     verdicts["invertible"] = _invertible_verdict(x, tol)
     if unit:
         herm_dev = element_norm(x - x.H)
-        verdicts["self_adjoint"] = _self_adjoint_verdict(x, herm_dev, tol)
-        positive = verdicts["positive"] = _positive_verdict(x, herm_dev, tol)
+        spanning = [_spanning_values(b) for b in x.blocks]
+        verdicts["self_adjoint"] = _self_adjoint_verdict(x, herm_dev, spanning, tol)
+        positive = verdicts["positive"] = _positive_verdict(x, herm_dev, spanning, tol)
         pi = is_partial_isometry_algebraic(x, tol=tol) if pi is None else pi
         verdicts["projection"] = _projection_verdict(x, pi, herm_dev, positive, tol)
     return verdicts

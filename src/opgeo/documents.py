@@ -8,7 +8,8 @@ indent=2)` writes it, byte for byte.  The stdlib's C encoder runs only
 without `indent`, so `dumps` walks the value itself, with one special case:
 a matrix block, a non-empty list of [re, im] pairs of finite floats, is
 written with one `str.format` per pair.  Every other scalar is written as
-the stdlib writes it.  A document nested too deep to decode raises
+the stdlib writes it: strings, finite floats, ints, true, false and null
+directly, the rest by json.dumps.  A document nested too deep to decode raises
 DocumentError, which the command line reports with exit code 2.
 """
 
@@ -55,12 +56,19 @@ _string_text = json.encoder.encode_basestring_ascii
 def _leaf_text(value, nl: str) -> str | None:
     """The text of a value that dumps does not walk into, or None for a
     container it walks: a non-empty dict, or a non-empty list that is no
-    block.  A scalar's text is the stdlib's: the repr of a finite float,
-    the stdlib's escaping of a string, json.dumps of any other."""
+    block.  A scalar's text is the stdlib's: the repr of a finite float or
+    an int, the stdlib's escaping of a string, true, false and null, and
+    json.dumps of any other."""
     if type(value) is float and math.isfinite(value):
         return float.__repr__(value)
     if type(value) is str:
         return _string_text(value)
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is int:
+        return int.__repr__(value)
     if isinstance(value, (list, tuple)) and value:
         return _block_text(value, nl)
     if isinstance(value, dict) and value:
@@ -140,7 +148,8 @@ def element_to_doc(x: Element, label: str | None = None) -> dict:
 
 def element_from_doc(doc) -> Element:
     """Decode strictly: `shape` holds JSON integers, each entry pair JSON
-    numbers, and `unit_identified`, when present, is a JSON boolean."""
+    numbers, `unit_identified`, when present, is a JSON boolean, and
+    `label`, when present, a JSON string (the commands echo it)."""
     if not isinstance(doc, dict):
         raise DocumentError("operator document must be a JSON object")
     dims, blocks_raw = doc.get("shape"), doc.get("blocks")
@@ -148,6 +157,8 @@ def element_from_doc(doc) -> Element:
         raise DocumentError("shape must be a list of JSON integers")
     if type(doc.get("unit_identified", False)) is not bool:
         raise DocumentError("unit_identified must be a JSON boolean")
+    if type(doc.get("label", "")) is not str:
+        raise DocumentError("label must be a JSON string")
     if not isinstance(blocks_raw, list) or len(blocks_raw) != len(dims):
         raise DocumentError("blocks must be a list matching shape")
     try:

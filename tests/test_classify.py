@@ -2,7 +2,7 @@ import dataclasses
 import io
 import json
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -402,9 +402,11 @@ class TestX1Member:
     # ||y|| apart from y's snapshot, 31 (108) while the route tested six
     # Gaussian frame probes, and 15 (32) while X2 took a Cholesky stack; the
     # unitary and the non-PI took 15 (20) and 15 (22) while the certificate
-    # check took an eigvalsh of the Hermitian part of xu*
+    # check took an eigvalsh of the Hermitian part of xu*; the unitary and
+    # the projection took 14 (19) while the unitary oracle measured both
+    # ||x*x - 1|| and ||xx* - 1||
     @pytest.mark.parametrize(
-        ("cls", "max_calls", "max_matrices"), [("unitary", 14, 19), ("nonpi", 14, 21), ("projection", 14, 19)]
+        ("cls", "max_calls", "max_matrices"), [("unitary", 13, 18), ("nonpi", 14, 21), ("projection", 13, 18)]
     )
     def test_classify_linalg_call_budget_by_class(self, tmp_path, monkeypatch, cls, max_calls, max_matrices):
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))[cls]
@@ -1139,6 +1141,18 @@ class TestUnitary:
 SPAN_EVIDENCE = ("norming_value_deviation", "left_frame_deviation", "right_frame_deviation")
 
 
+def seed_state_vectors(n: int) -> np.ndarray:
+    """The seed's table of the n^2 spanning states on M_n, one column v per
+    state v v*, kept as the oracle of `_spanning_values`."""
+    eye = np.eye(n, dtype=np.complex128)
+    cols = list(eye)
+    for j in range(n):
+        for k in range(j + 1, n):
+            cols.append((eye[j] + eye[k]) / np.sqrt(2.0))
+            cols.append((eye[j] + 1j * eye[k]) / np.sqrt(2.0))
+    return np.stack(cols, axis=1)
+
+
 class TestSpanConstruction:
     """The norming span certified from the frames of x's snapshot: k^2 pure
     states per active block give k^2 norming functionals spanning span_dim."""
@@ -1180,7 +1194,7 @@ class TestSpanConstruction:
         for i in desc.active_blocks:
             j = list(desc.unit_indices[i])
             w, v_ = x.svds[i].left[:, j], x.svds[i].right[:, j]
-            for vec in classify._state_vectors(len(j)).T:
+            for vec in seed_state_vectors(len(j)).T:
                 densities = [np.zeros((d, d), dtype=np.complex128) for d in x.shape.block_dims]
                 densities[i] = v_ @ np.outer(vec, vec.conj()) @ w.conj().T
                 fs.append(Functional(x.shape, tuple(densities)))
@@ -1416,6 +1430,18 @@ class TestSelfAdjoint:
         # ||x||^2 = 1e400 is beyond float range; the bound never forms it
         assert is_self_adjoint_lumer(1e200 * unit(AlgebraShape((3,)))) is True
 
+    @pytest.mark.parametrize(
+        "skew, expected", [(1e-4, True), (5e-4, True), (2e-3, False), (1e-2, False)]
+    )
+    def test_lumer_cut_on_its_own(self, skew, expected):
+        # the slopes of h + i skew k tend to ||skew k|| = skew, and at the
+        # smallest alpha, 1e-4, the bound is 10 alpha = 1e-3: a decade and a
+        # factor of two below it pass, a factor of two and a decade above fail
+        rng = np.random.default_rng(4)
+        h, k = (gen_hermitian(M2_M3, rng) for _ in range(2))
+        x = (1.0 / element_norm(h)) * h + (1j * skew / element_norm(k)) * k
+        assert is_self_adjoint_lumer(x) is expected
+
 
 class TestRecoverAdjoint:
     def test_skew_unit(self):
@@ -1435,29 +1461,23 @@ class TestRecoverAdjoint:
         assert element_norm(twice - x) <= 1e-8
 
 
-def seed_state_vectors(n: int) -> np.ndarray:
-    """The seed's loop construction of `_state_vectors`, kept as the oracle."""
-    eye = np.eye(n, dtype=np.complex128)
-    cols = list(eye)
-    for j in range(n):
-        for k in range(j + 1, n):
-            cols.append((eye[j] + eye[k]) / np.sqrt(2.0))
-            cols.append((eye[j] + 1j * eye[k]) / np.sqrt(2.0))
-    return np.stack(cols, axis=1)
-
-
 class TestStateTable:
     """Every state route reads the values of the n^2 spanning states."""
 
-    def test_state_vectors_match_the_seed_loop(self):
-        for n in range(1, 7):
-            assert np.array_equal(classify._state_vectors(n), seed_state_vectors(n))
+    @pytest.mark.parametrize("n", [*range(1, 9), 16, 64])
+    def test_spanning_values_match_the_seed_table(self, n):
+        b = random_complex(n, np.random.default_rng(n))
+        vecs = seed_state_vectors(n)
+        expected = np.einsum("ij,ij->j", vecs.conj(), b @ vecs)
+        vals = classify._spanning_values(b)
+        assert vals.shape == (n * n,)
+        assert np.max(np.abs(vals - expected)) <= 1e-15 * np.max(np.abs(b))
 
     @pytest.mark.parametrize("dims", [(1,), (2,), (6,), (2, 3)], ids=lambda d: "+".join(f"M{n}" for n in d))
     def test_hermitian_from_states_inverts_state_values(self, dims, rng):
         for n in dims:
             h = random_hermitian(n, rng)
-            vals = classify._state_values(h, classify._state_vectors(n))
+            vals = classify._spanning_values(h)
             assert np.max(np.abs(vals.imag)) <= 1e-14
             back = classify._hermitian_from_states(vals.real, n)
             assert np.array_equal(back, back.conj().T)
@@ -1470,6 +1490,31 @@ class TestStateTable:
         star = recover_adjoint(x)
         assert element_norm(star - x.H) <= 1e-13 * max(1.0, element_norm(x))
 
+    @pytest.mark.parametrize("scale", [1e150, 1e307, 8e307])
+    def test_unit_commands_keep_their_exit_codes_at_large_scales(self, tmp_path, scale):
+        # the parent's exit codes: classify --unit overflows elsewhere at
+        # these scales (exit 2, one stderr line); adjoint --unit reads only
+        # the state values, whose halves add below the largest float
+        rng = np.random.default_rng(8)
+        draws = ([random_complex(3, rng)], [random_hermitian(2, rng), random_complex(3, rng)], [np.ones((2, 2))])
+        for blocks in draws:
+            x = Element.from_blocks([(b / np.max(np.abs(b))) * scale for b in blocks])
+            path = tmp_path / "x.json"
+            path.write_text(documents.dumps(documents.element_to_doc(x)))
+            for command, expected in (("classify", 2), ("adjoint", 0)):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main([command, str(path), "--unit"])
+                assert code == expected
+                if expected:
+                    assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+                    assert err.getvalue().startswith("error: input out of floating-point range: ")
+                else:
+                    assert err.getvalue() == ""
+                    star = documents.element_from_doc(json.loads(out.getvalue()))
+                    for s_b, b in zip(star.blocks, x.blocks):
+                        assert np.max(np.abs(s_b - b.conj().T)) <= 1e-15 * scale
+
     def test_adjoint_command_takes_no_svd_or_lstsq(self, tmp_path, monkeypatch):
         x = Element.from_blocks([random_complex(16, np.random.default_rng(16))])
         path = tmp_path / "x16.json"
@@ -1479,19 +1524,47 @@ class TestStateTable:
             assert main(["adjoint", str(path), "--unit"]) == 0
         assert calls == Counter()
 
-    def test_is_positive_evaluates_states_once_per_block(self, monkeypatch, rng):
-        columns = []
-        original = classify._state_values
+    @staticmethod
+    def _count_state_evaluations(monkeypatch, x: Element) -> tuple[list, list]:
+        """Per block of x, the `_spanning_values` calls on that block, and the
+        column counts of every `_state_values` call."""
+        per_block, columns = [0] * len(x.blocks), []
+        spanning, values = classify._spanning_values, classify._state_values
 
-        def counted(b, vecs):
+        def counted_spanning(b):
+            for i, block in enumerate(x.blocks):
+                per_block[i] += b.shape == block.shape and np.array_equal(b, block)
+            return spanning(b)
+
+        def counted_values(b, vecs):
             columns.append(vecs.shape[1])
-            return original(b, vecs)
+            return values(b, vecs)
 
-        monkeypatch.setattr(classify, "_state_values", counted)
-        v = is_positive(gen_hermitian(M2_M3, rng))
+        monkeypatch.setattr(classify, "_spanning_values", counted_spanning)
+        monkeypatch.setattr(classify, "_state_values", counted_values)
+        return per_block, columns
+
+    def test_is_positive_evaluates_states_once_per_block(self, monkeypatch, rng):
+        x = gen_hermitian(M2_M3, rng)
+        per_block, columns = self._count_state_evaluations(monkeypatch, x)
+        v = is_positive(x)
         assert v.evidence["unanimous"]
-        # n^2 spanning states, then the n eigenstates of H and of K, per block
-        assert columns == [4 + 2 + 2, 9 + 3 + 3]
+        # the n^2 spanning states once, then the n eigenstates of H and of K
+        assert per_block == [1, 1]
+        assert columns == [2 + 2, 3 + 3]
+
+    @pytest.mark.parametrize("cls", ["pi", "unitary", "projection", "nonpi", "ginibre", "positive"])
+    def test_classify_evaluates_spanning_states_once_per_block(self, tmp_path, monkeypatch, cls):
+        x = _small_ops_mix(M2_M3, np.random.default_rng(5))[cls]
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(documents.element_to_doc(x)))
+        per_block, columns = self._count_state_evaluations(monkeypatch, x)
+        with redirect_stdout(io.StringIO()):
+            assert main(["classify", str(path), "--unit"]) == 0
+        # the self-adjoint and positive verdicts share one evaluation; the
+        # table evaluation reads only the 2n eigenstates of H and K
+        assert per_block == [1, 1]
+        assert columns == [2 + 2, 3 + 3]
 
 
 class TestPositive:

@@ -103,6 +103,24 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("label", [None, 1, ["x"], {"a": "x"}, True], ids=["null", "int", "list", "dict", "bool"])
+    @pytest.mark.parametrize("command", ["classify", "adjoint"])
+    def test_label_not_a_string_exits_2(self, tmp_path, command, label):
+        doc = documents.element_to_doc(Element.identity(AlgebraShape((2,)))) | {"label": label}
+        code, out, err = run_cli(command, write_doc(tmp_path, "x.json", doc), "--unit")
+        assert (code, out, err) == (2, "", "error: label must be a JSON string\n")
+
+    @pytest.mark.parametrize("command", ["classify", "adjoint"])
+    def test_string_label_echoes_byte_for_byte(self, tmp_path, command):
+        label = 'é\x00\n "\\/\U0001f600' + "[" * 40
+        raw = json.dumps(documents.element_to_doc(Element.identity(AlgebraShape((2,))), label=label))
+        path = tmp_path / "x.json"
+        path.write_text(raw)
+        code, out, err = run_cli(command, str(path), "--unit")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["label"] == label
+        assert f'"label": {json.dumps(label)}' in out
+
     @pytest.mark.parametrize("command", [["classify"], ["certify", "--predicate", "invertible"], ["adjoint"]])
     def test_missing_input_exits_2(self, tmp_path, command):
         code, out, err = run_cli(command[0], str(tmp_path / "absent.json"), *command[1:])

@@ -86,6 +86,9 @@ def test_dumps_is_the_stdlib_text(value):
         {"a": [[1.0, 2.0]], "b": [[[1.0, 2.0]]], "c": [[1.0, 2.0], [[1.0, 2.0]]]},
         {"é\x00\n ": ["\x1f", "\U0001f600", "\ud800", '"\\/'], "": {"": []}},
         [True, False, None, 0, -1, 10**30, 1.5, "x"],
+        [True, False, None, 0, -5, 2**70, 1.0],
+        {"t": True, "f": False, "n": None, "zero": 0, "neg": -5, "big": 2**70, "one": 1.0},
+        {"a": [True, {"b": None, "c": [0, -5]}], "d": {"e": 2**70, "f": [1.0, False]}, "g": [[1, 0], [True, None]]},
         [(1.0, 2.0)],
         ([1.0, 2.0],),
         "x",
@@ -130,26 +133,37 @@ def test_every_document_kind_is_the_stdlib_text(tmp_path, monkeypatch, dims):
 
 
 def test_label_nested_950_deep(tmp_path):
-    # the stdlib's encoder writes this depth; the walk must too, without recursing
+    # a label must be a JSON string: echoed, this 1.9 kB document printed a
+    # 1.8 MB report, quadratic in the depth
     depth = 950
     path = tmp_path / "deep.json"
     label = "[" * depth + '"x"' + "]" * depth
     path.write_text('{"shape": [1], "blocks": [[[1.0, 0.0]]], "label": ' + label + "}")
     paths = [str(Path(opgeo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    report = subprocess.run(
-        [sys.executable, "-m", "opgeo.cli", "classify", str(path)], capture_output=True, env=env
+    for command in ("classify", "adjoint"):
+        report = subprocess.run(
+            [sys.executable, "-m", "opgeo.cli", command, str(path), "--unit"], capture_output=True, env=env
+        )
+        assert (report.returncode, report.stdout) == (2, b"")
+        assert report.stderr == b"error: label must be a JSON string\n"
+    # the walk writes what the stdlib's encoder writes at this depth, without
+    # recursing; a fresh interpreter's stack holds both decodes
+    ours = subprocess.run(
+        [sys.executable, "-c", "import sys; from opgeo import documents; "
+         "print(documents.dumps(documents.decode_json(sys.stdin.buffer.read())))"],
+        input=path.read_bytes(),
+        capture_output=True,
+        env=env,
     )
-    assert (report.returncode, report.stderr) == (0, b"")
-    # a fresh interpreter's stack holds the stdlib's reference text at this depth
     reference = subprocess.run(
         [sys.executable, "-c", "import json, sys; print(json.dumps(json.load(sys.stdin), sort_keys=True, indent=2))"],
-        input=report.stdout,
+        input=path.read_bytes(),
         capture_output=True,
     )
-    assert reference.returncode == 0
-    assert report.stdout == reference.stdout
-    assert report.stdout.count(b"[") >= depth
+    assert ours.returncode == reference.returncode == 0
+    assert ours.stdout == reference.stdout
+    assert ours.stdout.count(b"[") >= depth
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,7 @@ import opgeo
 from opgeo import documents
 # bench/test_bench.py asserts opgeo.cli.element_norm, a name the benchmark's tracer rebinds
 from opgeo.algebra import AlgebraShape, element_norm  # noqa: F401
-from opgeo.classify import (
-    Tolerances,
-    classify_all,
-    construct_witness,
-    invertibility_certificate,
-    recover_adjoint,
-    verify_certificate,
-    verify_witness,
-)
+from opgeo.classify import Tolerances, classify_all, recover_adjoint
 from opgeo.errors import (
     LinalgError,
     MalformedCertificateError,
@@ -73,8 +65,9 @@ def _unit_requested(args, doc) -> bool:
 def cmd_classify(args) -> int:
     x, doc, raw = documents.load_element(args.input)
     tol = args.tolerances
+    kinds = documents.evidence_kinds()
     verdicts = [
-        documents.not_applicable_doc(name, v) if isinstance(v, str) else documents.verdict_to_doc(v)
+        documents.not_applicable_doc(name, v) if isinstance(v, str) else documents.verdict_to_doc(v, kinds)
         for name, v in classify_all(x, unit=_unit_requested(args, doc), tol=tol).items()
     ]
     report = {
@@ -92,40 +85,21 @@ def cmd_classify(args) -> int:
 def cmd_certify(args) -> int:
     x, doc, raw = documents.load_element(args.input)
     tol = args.tolerances
-
-    if args.predicate == "invertible":
-        if args.verify:
-            with open(args.verify, "rb") as fh:
-                cert = documents.certificate_from_doc(documents.decode_json(fh.read()))
-            accepted = verify_certificate(x, cert, tol=tol)
-            print(documents.dumps({"verified": accepted, "epsilon": cert.epsilon}))
-            if not accepted:
-                print("not verified: the certificate fails on this operator", file=sys.stderr)
-            return EXIT_OK if accepted else EXIT_NEGATIVE
-        cert = invertibility_certificate(x, tol=tol)
-        if cert is None:
-            print("no certificate: operator is numerically singular", file=sys.stderr)
-            return EXIT_NEGATIVE
-        print(documents.dumps(documents.certificate_to_doc(cert)))
-        return EXIT_OK
-
-    # partial-isometry: the witness refutes membership
+    kind = documents.evidence_kinds()[args.predicate]
     if args.verify:
         with open(args.verify, "rb") as fh:
-            w = documents.witness_from_doc(documents.decode_json(fh.read()))
-        verified, margin, deviation = verify_witness(x, w, tol=tol)
-        print(documents.dumps({"verified": verified, "margin": margin, "deviation": deviation}))
-        if not verified:
-            print("not verified: the witness fails on this operator", file=sys.stderr)
-        return EXIT_OK if verified else EXIT_NEGATIVE
-    witness = construct_witness(x, tol=tol)
-    if witness is None:
-        print(
-            "no witness: operator is a partial isometry at this resolution",
-            file=sys.stderr,
-        )
+            evidence = kind.read(fh.read())
+        report = kind.verify(x, evidence, tol=tol)
+        print(documents.dumps(report))
+        if not report["verified"]:
+            print(f"not verified: the {kind.noun} fails on this operator", file=sys.stderr)
+            return EXIT_NEGATIVE
+        return EXIT_OK
+    evidence = kind.build(x, tol=tol)
+    if evidence is None:
+        print(kind.refusal, file=sys.stderr)
         return EXIT_NEGATIVE
-    print(documents.dumps(documents.witness_to_doc(witness)))
+    print(documents.dumps(kind.to_doc(evidence)))
     return EXIT_OK
 
 
@@ -197,11 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="emit or verify a certificate/witness")
     p.add_argument("input", help="operator document path, or - for stdin")
-    p.add_argument(
-        "--predicate",
-        required=True,
-        choices=["invertible", "partial-isometry"],
-    )
+    p.add_argument("--predicate", required=True, choices=list(documents.evidence_kinds()))
     p.add_argument("--verify", metavar="FILE", help="re-check an existing evidence file")
     add_tol(p)
     p.set_defaults(func=cmd_certify)

@@ -11,6 +11,11 @@ written with one `str.format` per pair.  Every other scalar is written as
 the stdlib writes it: strings, finite floats, ints, true, false and null
 directly, the rest by json.dumps.  A document nested too deep to decode raises
 DocumentError, which the command line reports with exit code 2.
+
+The kinds of checkable evidence, the partial-isometry witness and the
+invertibility certificate, are one table, `evidence_kinds`: `certify` reads
+its builder, verifier, codec and messages there, and `verdict_to_doc`
+encodes the evidence objects of a verdict through it.
 """
 
 from __future__ import annotations
@@ -18,15 +23,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import dataclass
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
-from opgeo.algebra import AlgebraShape, Element
+from opgeo.algebra import AlgebraShape, Element, Tolerances
 from opgeo.classify import (
     InvertibilityCertificate,
     PartialIsometryWitness,
     Verdict,
+    construct_witness,
+    invertibility_certificate,
+    verify_certificate,
+    verify_witness,
 )
 
 
@@ -201,15 +212,15 @@ def witness_to_doc(w: PartialIsometryWitness) -> dict:
 
 
 def witness_from_doc(doc) -> PartialIsometryWitness:
-    try:
-        numbers = {key: doc[key] for key in _WITNESS_NUMBERS}
-        bad = [k for k, v in numbers.items() if not (_json_numbers([v]) and np.isfinite(float(v)))]
-        if bad:
-            raise DocumentError(f"{', '.join(bad)} must be finite JSON numbers")
-        floats = {key: float(value) for key, value in numbers.items()}
-        return PartialIsometryWitness(y=element_from_doc(doc["y"]), **floats)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"malformed witness document: {exc}") from exc
+    """A missing or malformed field raises KeyError, TypeError or ValueError
+    (DocumentError among them); `EvidenceKind.read` reports each as one
+    DocumentError, as for `certificate_from_doc`."""
+    numbers = {key: doc[key] for key in _WITNESS_NUMBERS}
+    bad = [k for k, v in numbers.items() if not (_json_numbers([v]) and np.isfinite(float(v)))]
+    if bad:
+        raise DocumentError(f"{', '.join(bad)} must be finite JSON numbers")
+    floats = {key: float(value) for key, value in numbers.items()}
+    return PartialIsometryWitness(y=element_from_doc(doc["y"]), **floats)
 
 
 def certificate_to_doc(cert: InvertibilityCertificate) -> dict:
@@ -221,42 +232,86 @@ def certificate_to_doc(cert: InvertibilityCertificate) -> dict:
 
 
 def certificate_from_doc(doc) -> InvertibilityCertificate:
-    try:
-        if not _json_numbers([doc["epsilon"]]):
-            raise DocumentError("epsilon must be a JSON number")
-        return InvertibilityCertificate(
-            u=element_from_doc(doc["u"]), epsilon=float(doc["epsilon"])
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"malformed certificate document: {exc}") from exc
+    if not _json_numbers([doc["epsilon"]]):
+        raise DocumentError("epsilon must be a JSON number")
+    return InvertibilityCertificate(u=element_from_doc(doc["u"]), epsilon=float(doc["epsilon"]))
 
 
-def _jsonable_evidence(evidence: dict) -> dict:
+def _witness_report(x: Element, w: PartialIsometryWitness, *, tol: Tolerances) -> dict:
+    verified, margin, deviation = verify_witness(x, w, tol=tol)
+    return {"verified": verified, "margin": margin, "deviation": deviation}
+
+
+def _certificate_report(x: Element, cert: InvertibilityCertificate, *, tol: Tolerances) -> dict:
+    return {"verified": verify_certificate(x, cert, tol=tol), "epsilon": cert.epsilon}
+
+
+@dataclass(frozen=True)
+class EvidenceKind:
+    """One kind of checkable evidence: `build(x, tol=)` emits it or returns
+    None (then `refusal` is the stderr line), `verify(x, evidence, tol=)`
+    re-checks it and returns the report `certify --verify` prints, and
+    `to_doc` / `from_doc` are its document codec."""
+
+    type: type
+    noun: str
+    refusal: str
+    build: Callable
+    verify: Callable
+    to_doc: Callable
+    from_doc: Callable
+
+    def read(self, raw: bytes):
+        """The evidence in the document raw; a malformed one raises
+        DocumentError naming the noun."""
+        doc = decode_json(raw)
+        try:
+            return self.from_doc(doc)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DocumentError(f"malformed {self.noun} document: {exc}") from exc
+
+
+def evidence_kinds() -> dict[str, EvidenceKind]:
+    """The evidence kinds, keyed by the `certify --predicate` name.  Built
+    per call from this module's current bindings, which the benchmark's
+    tracer rebinds; a command builds it once."""
+    return {
+        "invertible": EvidenceKind(
+            InvertibilityCertificate, "certificate", "no certificate: operator is numerically singular",
+            invertibility_certificate, _certificate_report, certificate_to_doc, certificate_from_doc,
+        ),
+        "partial-isometry": EvidenceKind(
+            PartialIsometryWitness, "witness", "no witness: operator is a partial isometry at this resolution",
+            construct_witness, _witness_report, witness_to_doc, witness_from_doc,
+        ),
+    }
+
+
+def _jsonable_evidence(evidence: dict, encoders: dict) -> dict:
+    """evidence as a JSON value: nested dicts walked, each witness or
+    certificate replaced by the document of `encoders[type]`; every other
+    value is a Python scalar already."""
     out = {}
     for key, val in evidence.items():
-        if isinstance(val, PartialIsometryWitness):
-            out[key] = witness_to_doc(val)
-        elif isinstance(val, InvertibilityCertificate):
-            out[key] = certificate_to_doc(val)
-        elif isinstance(val, dict):
-            out[key] = _jsonable_evidence(val)
-        elif isinstance(val, (np.floating, float)):
-            out[key] = float(val)
-        elif isinstance(val, (np.integer, int)):
-            out[key] = int(val)
-        else:
-            out[key] = val
+        if isinstance(val, dict):
+            val = _jsonable_evidence(val, encoders)
+        elif type(val) in encoders:
+            val = encoders[type(val)](val)
+        out[key] = val
     return out
 
 
-def verdict_to_doc(v: Verdict) -> dict:
+def verdict_to_doc(v: Verdict, kinds: dict[str, EvidenceKind] | None = None) -> dict:
+    """The document of v; kinds, the table of `evidence_kinds`, is built
+    here unless the caller, encoding many verdicts, passes it."""
+    encoders = {kind.type: kind.to_doc for kind in (kinds or evidence_kinds()).values()}
     return {
         "predicate": v.predicate,
         "status": "classified",
         "algebraic": v.algebraic,
         "geometric": v.geometric,
         "agreement": v.agreement,
-        "evidence": _jsonable_evidence(v.evidence),
+        "evidence": _jsonable_evidence(v.evidence, encoders),
         "tolerances": v.tolerances,
     }
 

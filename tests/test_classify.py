@@ -375,6 +375,18 @@ class TestX1Member:
             answers.append(got)
         assert True in answers and False in answers
 
+    @pytest.mark.parametrize("deviation", [2e-8, 5e-7])
+    @pytest.mark.parametrize("c", [1e-3, 1e3, 1j], ids=["1e-3", "1e3", "i"])
+    def test_scaling_y_keeps_the_answer(self, c, deviation):
+        # X1 is a cone, so the face test holds max(||y V_J||, ||W_J* y||)
+        # against 1e-7 ||y||.  In M2+M3, y leaves the unit frame of x only
+        # by `deviation` ||y||, within a decade of the cut on either side,
+        # where an absolute 1e-7 would flip the answer at c = 1e-3 or 1e3
+        x = diag_element([1.0, 0.5], [0.3, 1.0, 0.2])
+        y = Element.from_blocks([np.array([[0.0, deviation], [0.0, 1.0]]), np.diag([0.5, 0.0, 0.7])])
+        assert x1_member(x, y) is (deviation < 1e-7)
+        assert x1_member(x, c * y) is x1_member(x, y)
+
     def test_classify_linalg_call_budget(self, tmp_path, monkeypatch):
         # one M6 rank-3 partial isometry (the small_ops draw); the
         # Element-based X1 search made 2020 calls, 88 before one classify

@@ -200,6 +200,19 @@ class TestClassify:
         second = run_cli("classify", diag_half, "--unit")
         assert first == second
 
+    @pytest.mark.parametrize("entries", [[1.0, 1.0, 1.0], [1.0, 0.5], [1.0, 0.0], [1.0, -0.5], [1.0, 0.5j]])
+    def test_nested_evidence_booleans_are_json_booleans(self, tmp_path, entries):
+        # the booleans inside evidence print as true/false, not as 1/0
+        path = write_doc(tmp_path, "x.json", documents.element_to_doc(diag_element(entries)))
+        code, out, _ = run_cli("classify", path, "--unit")
+        assert code == 0
+        evidence = {v["predicate"]: v["evidence"] for v in json.loads(out)["verdicts"]}
+        flags = [evidence["self_adjoint"]["lumer"], evidence["self_adjoint"]["states"]]
+        for name in ("positive", "projection"):
+            flags += [evidence[name]["unanimous"], *evidence[name]["conditions"].values()]
+        assert len(flags) == 10
+        assert all(type(flag) is bool for flag in flags), flags
+
 
 class TestCertify:
     def test_invertible_worked_example(self, tmp_path):
@@ -338,6 +351,17 @@ class TestCertify:
         code, out, err = run_cli("certify", path, "--predicate", "invertible", "--verify", cpath)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "epsilon must be" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "predicate, noun, key", [("partial-isometry", "witness", "b"), ("invertible", "certificate", "epsilon")]
+    )
+    def test_missing_field_names_the_evidence_kind(self, tmp_path, diag_half, predicate, noun, key):
+        _, out, _ = run_cli("certify", diag_half, "--predicate", predicate)
+        doc = json.loads(out)
+        del doc[key]
+        path = write_doc(tmp_path, "evidence.json", doc)
+        code, out, err = run_cli("certify", diag_half, "--predicate", predicate, "--verify", path)
+        assert (code, out, err) == (2, "", f"error: malformed {noun} document: '{key}'\n")
 
     def test_integer_certificate_epsilon_is_a_number(self, tmp_path):
         path = write_doc(tmp_path, "x.json", documents.element_to_doc(diag_element([2.0, 1.0])))

@@ -1,11 +1,12 @@
 """Property test of the CLI boundary.
 
-`cli.main` runs in-process on malformed operator, witness and certificate
-documents, on arbitrary `--tol` strings, and on junk harness shapes and
-`OPGEO_SEED` values.  Every run must exit 0, 2, 3 or 4 without a traceback,
-and a nonzero exit must explain itself in exactly one stderr line.  Block
-dims of operators stay <= 4, harness runs take one T4 trial with blocks of
-at most `MAX_BLOCK_DIM`, and the examples are derandomized, so the test is
+`cli.main` runs in-process on malformed operator documents, on malformed
+documents of every evidence kind of `documents.evidence_kinds`, on
+arbitrary `--tol` strings, and on junk harness shapes and `OPGEO_SEED`
+values.  Every run must exit 0, 2, 3 or 4 without a traceback, and a
+nonzero exit must explain itself in exactly one stderr line.  Block dims of
+operators stay <= 4, harness runs take one T4 trial with blocks of at most
+`MAX_BLOCK_DIM`, and the examples are derandomized, so the test is
 deterministic and quick.
 """
 
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 from conftest import diag_element
 from opgeo import documents
-from opgeo.classify import construct_witness, invertibility_certificate
 from opgeo.cli import main
 
 FUZZ = settings(
@@ -108,17 +108,23 @@ def _mutated(draw, base: dict, parts: dict):
     return doc
 
 
-@st.composite
-def witnesses(draw):
-    base = documents.witness_to_doc(construct_witness(diag_element([1.0, 0.5])))
-    number_fields = {key: numbers for key in base if key not in ("type", "y")}
-    return _mutated(draw, base, {**number_fields, "y": operators()})
+#: one operator serves every evidence kind: diag(1, 0.5) has norm 1, a
+#: refuting witness and an invertibility certificate
+EVIDENCE_X = diag_element([1.0, 0.5])
 
 
 @st.composite
-def certificates(draw):
-    base = documents.certificate_to_doc(invertibility_certificate(diag_element([2.0, 1.0])))
-    return _mutated(draw, base, {"epsilon": numbers, "u": operators()})
+def evidence_documents(draw, kind: documents.EvidenceKind):
+    """A document of kind built on EVIDENCE_X, with each numeric field drawn
+    from numbers and the element field (the one that is a dict) from
+    operators, or one field dropped, or the whole document junk."""
+    base = kind.to_doc(kind.build(EVIDENCE_X))
+    parts = {
+        key: operators() if isinstance(value, dict) else numbers
+        for key, value in base.items()
+        if key != "type"
+    }
+    return _mutated(draw, base, parts)
 
 
 @pytest.fixture(scope="module")
@@ -166,20 +172,15 @@ def test_operator_documents(workdir, doc, command, tol):
     assert_clean_exit([command[0], path, *command[1:], *_tol_args(tol)])
 
 
+@pytest.mark.parametrize("predicate", list(documents.evidence_kinds()))
 @FUZZ
-@given(doc=st.one_of(witnesses(), st.binary(max_size=16)))
-def test_witness_documents(workdir, doc):
-    x = _write(workdir / "half.json", documents.element_to_doc(diag_element([1.0, 0.5])))
-    w = _write(workdir / "w.json", doc)
-    assert_clean_exit(["certify", x, "--predicate", "partial-isometry", "--verify", w])
-
-
-@FUZZ
-@given(doc=st.one_of(certificates(), st.binary(max_size=16)))
-def test_certificate_documents(workdir, doc):
-    x = _write(workdir / "two.json", documents.element_to_doc(diag_element([2.0, 1.0])))
-    c = _write(workdir / "c.json", doc)
-    assert_clean_exit(["certify", x, "--predicate", "invertible", "--verify", c])
+@given(data=st.data())
+def test_evidence_documents(workdir, predicate, data):
+    kind = documents.evidence_kinds()[predicate]
+    doc = data.draw(st.one_of(evidence_documents(kind), st.binary(max_size=16)))
+    x = _write(workdir / "half.json", documents.element_to_doc(EVIDENCE_X))
+    e = _write(workdir / "e.json", doc)
+    assert_clean_exit(["certify", x, "--predicate", predicate, "--verify", e])
 
 
 @FUZZ

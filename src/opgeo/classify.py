@@ -42,6 +42,7 @@ from opgeo.algebra import (
 )
 from opgeo.errors import (
     DegenerateInputError,
+    LinalgError,
     MalformedCertificateError,
     PreconditionError,
     ShapeMismatchError,
@@ -148,13 +149,29 @@ def _grid_norms(x: Element, y: Element, bs) -> np.ndarray:
     return norms
 
 
+def _residual_norm(blocks) -> float:
+    """The direct-sum norm max_i ||r_i|| of a residual that a route only
+    measures, given as one array per block and never made an Element.  Like
+    an Element block, a residual that is not finite (an overflow that the
+    caller's errstate let through) raises LinalgError, before LAPACK sees it."""
+    blocks = list(blocks)
+    if not all(np.isfinite(r).all() for r in blocks):
+        raise LinalgError("matrix has non-finite entries")
+    return max(linalg.operator_norm(r) for r in blocks)
+
+
+def _unit(b: np.ndarray) -> np.ndarray:
+    """The unit of b's block, as Element.identity builds it."""
+    return np.eye(b.shape[0], dtype=np.complex128)
+
+
 # ---------------------------------------------------------------------------
 # partial isometries
 
 
 def is_partial_isometry_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """x x* x = x within tol.classification (support identity oracle)."""
-    return element_norm(x @ x.H @ x - x) <= tol.classification
+    return _residual_norm((b @ b.conj().T) @ b - b for b in x.blocks) <= tol.classification
 
 
 def construct_witness(
@@ -501,7 +518,12 @@ def is_unitary_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) ->
     """x*x = xx* = 1 within tol.classification, from one norm: on square
     blocks x*x and xx* have the same eigenvalues sigma^2, so
     ||xx* - 1|| = ||x*x - 1|| = max |sigma^2 - 1|."""
-    return element_norm(x.H @ x - Element.identity(x.shape)) <= tol.classification
+    return _unitary_residual(x.blocks) <= tol.classification
+
+
+def _unitary_residual(blocks) -> float:
+    """max_i ||b_i* b_i - 1|| over the arrays b_i."""
+    return _residual_norm(b.conj().T @ b - _unit(b) for b in blocks)
 
 
 def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -552,9 +574,9 @@ def norming_annihilates_defect(
     """max over sampled norming functionals of |f(1 - x*x)| for a partial
     isometry x; vanishes because dual mass sits on the unit singular frame."""
     desc = norming_set(x, tol=tol)
-    defect = Element.identity(x.shape) - x.H @ x
+    defect = [_unit(b) - b.conj().T @ b for b in x.blocks]
     stacks = sample_norming_densities(desc, rng, samples)
-    values = sum(np.einsum("sjk,kj->s", stacks[i], defect.blocks[i]) for i in desc.active_blocks)
+    values = sum(np.einsum("sjk,kj->s", stacks[i], defect[i]) for i in desc.active_blocks)
     return float(np.max(np.abs(values), initial=0.0))
 
 
@@ -636,6 +658,10 @@ def verify_certificate(
       in [0, 1), so ||u - tx|| = 1 - t sigma_min.  There the rule is
       sigma_min >= epsilon - tol.equality, up to the rounding d of u.
 
+    The cut d <= tol.equality is a contract, not a soundness condition: the
+    sqrt(1 - d) term pays for any d < 1, and the cut keeps u what a
+    certificate names, a unitary up to rounding.
+
     The unitaries are an invariant of the Banach space (Kadison, Ann. Math.
     1951), so the test reads x only through ||x|| and ||u - tx||.  Malformed
     certificates (epsilon not positive and finite, block mismatch) raise
@@ -648,12 +674,13 @@ def verify_certificate(
         raise MalformedCertificateError(f"epsilon must be positive, got {cert.epsilon!r}")
     if cert.u.shape != x.shape:
         raise MalformedCertificateError("certificate unitary has mismatched block structure")
-    d = max(linalg.operator_norm(b.conj().T @ b - np.eye(b.shape[0])) for b in cert.u.blocks)
+    d = _unitary_residual(cert.u.blocks)
     t = 1.0 / x.norm if x.norm > 0.0 else 0.0  # 1/||x|| overflows to inf below ~1e-308
     gap = t * (cert.epsilon - tol.equality)
     if d > tol.equality or not _NORM_ROUNDING < gap < np.inf:
         return False
-    return bool(element_norm(cert.u - t * x) <= max(0.0, 1.0 - d) ** 0.5 - gap)
+    distance = _residual_norm(u - complex(t) * b for u, b in zip(cert.u.blocks, x.blocks))
+    return bool(distance <= max(0.0, 1.0 - d) ** 0.5 - gap)
 
 
 def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
@@ -803,7 +830,12 @@ def is_positive(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     Hermitian residual ||x - x*|| is compared with tol.classification,
     eigenvalues and state values with tol.equality.
     """
-    return _positive_verdict(x, element_norm(x - x.H), [_spanning_values(b) for b in x.blocks], tol)
+    return _positive_verdict(x, _hermitian_deviation(x), [_spanning_values(b) for b in x.blocks], tol)
+
+
+def _hermitian_deviation(x: Element) -> float:
+    """||x - x*||, on x's arrays."""
+    return _residual_norm(b - b.conj().T for b in x.blocks)
 
 
 def _positive_verdict(x: Element, herm_dev: float, spanning: list[np.ndarray], tol: Tolerances) -> Verdict:
@@ -823,7 +855,7 @@ def _positive_verdict(x: Element, herm_dev: float, spanning: list[np.ndarray], t
 
     # norm route: real on the spanning states, as in is_self_adjoint_states
     nrm = x.norm
-    shift_ok = element_norm(nrm * Element.identity(x.shape) - x) <= nrm + tol.equality
+    shift_ok = _residual_norm(complex(nrm) * _unit(b) - b for b in x.blocks) <= nrm + tol.equality
     norm_route = _states_real(spanning, tol) and shift_ok
 
     evidence = {
@@ -840,7 +872,7 @@ def is_projection(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdic
     """Three-route projection test: idempotent-Hermitian oracle, positive
     partial isometry, and the symmetry x = (1 + v)/2 with v self-adjoint
     unitary, each residual within tol.classification."""
-    herm_dev = element_norm(x - x.H)
+    herm_dev = _hermitian_deviation(x)
     positive = _positive_verdict(x, herm_dev, [_spanning_values(b) for b in x.blocks], tol)
     return _projection_verdict(x, is_partial_isometry_algebraic(x, tol=tol), herm_dev, positive, tol)
 
@@ -850,10 +882,10 @@ def _projection_verdict(x: Element, pi: bool, herm_dev: float, pos: Verdict, tol
     2 herm_dev: doubling is exact, and the real unit leaves the imaginary
     diagonal alone."""
     cut = tol.classification
-    oracle = element_norm(x @ x - x) <= cut and herm_dev <= cut
+    oracle = _residual_norm(b @ b - b for b in x.blocks) <= cut and herm_dev <= cut
     pi_and_positive = pi and pos.algebraic and pos.geometric
-    v = 2.0 * x - Element.identity(x.shape)
-    symmetry = 2.0 * herm_dev <= cut and is_unitary_algebraic(v, tol=tol)
+    v = [complex(2.0) * b - _unit(b) for b in x.blocks]  # before the cut: an overflow of 2x raises here
+    symmetry = 2.0 * herm_dev <= cut and _unitary_residual(v) <= cut
     evidence = {
         "conditions": {
             "idempotent_hermitian": oracle,
@@ -894,7 +926,7 @@ def classify_all(
         verdicts.update(dict.fromkeys(("partial_isometry", "unitary", "extreme_point"), off))
     verdicts["invertible"] = _invertible_verdict(x, tol)
     if unit:
-        herm_dev = element_norm(x - x.H)
+        herm_dev = _hermitian_deviation(x)
         spanning = [_spanning_values(b) for b in x.blocks]
         verdicts["self_adjoint"] = _self_adjoint_verdict(x, herm_dev, spanning, tol)
         positive = verdicts["positive"] = _positive_verdict(x, herm_dev, spanning, tol)

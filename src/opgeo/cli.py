@@ -17,7 +17,7 @@ import opgeo
 from opgeo import documents
 # bench/test_bench.py asserts opgeo.cli.element_norm, a name the benchmark's tracer rebinds
 from opgeo.algebra import AlgebraShape, element_norm  # noqa: F401
-from opgeo.classify import Tolerances, classify_all, recover_adjoint
+from opgeo.classify import DEFAULT_TOLERANCES, Tolerances, classify_all, recover_adjoint
 from opgeo.errors import (
     LinalgError,
     MalformedCertificateError,
@@ -33,8 +33,12 @@ EXIT_NEGATIVE = 4
 
 
 def _parse_tolerances(pairs) -> Tolerances:
-    values = Tolerances().as_dict()
-    for item in pairs or []:
+    """The frozen DEFAULT_TOLERANCES when no --tol is given, else a
+    validated copy with the NAME=VALUE pairs applied."""
+    if not pairs:
+        return DEFAULT_TOLERANCES
+    values = DEFAULT_TOLERANCES.as_dict()
+    for item in pairs:
         if "=" not in item:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         name, _, raw = item.partition("=")

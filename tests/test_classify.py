@@ -53,6 +53,7 @@ from opgeo.classify import (
 from opgeo.cli import main
 from opgeo.errors import (
     DegenerateInputError,
+    LinalgError,
     MalformedCertificateError,
     PreconditionError,
     ShapeMismatchError,
@@ -117,6 +118,23 @@ class TestPartialIsometryOracle:
     def test_random_partial_isometry(self, rng):
         x = gen_partial_isometry(M2_M3, random_ranks(M2_M3, rng), rng)
         assert is_partial_isometry_algebraic(x)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [is_partial_isometry_algebraic, is_unitary_algebraic, is_projection],
+        ids=["partial_isometry", "unitary", "projection"],
+    )
+    def test_overflowing_residual_raises_before_lapack(self, capfd, oracle):
+        # x x* and x*x overflow on 1e200 * 1 in M3.  Outside the CLI, which
+        # raises at the overflow itself, numpy only flags it, so the residual
+        # carries inf or nan: it must raise the finiteness error of an
+        # Element block, and never reach LAPACK, which prints DLASCL errors
+        # on such a matrix
+        x = 1e200 * unit(AlgebraShape((3,)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LinalgError, match="^matrix has non-finite entries$"):
+                oracle(x)
+        assert "DLASCL" not in capfd.readouterr().err
 
 
 class TestWitness:
@@ -425,6 +443,22 @@ class TestX1Member:
         calls, matrices = _classify_linalg_calls(x, tmp_path, monkeypatch)
         assert calls <= max_calls
         assert matrices <= max_matrices
+
+    # Elements constructed, each a validated copy of its blocks: 21, 23, 25,
+    # 24, 19 and 28 (pi, unitary, projection, nonpi, ginibre, positive, at
+    # M6 and at M2+M3 alike) while every oracle residual was a chain of
+    # Elements; now the input, the witness y, the certificate u, the frame
+    # probe and the Lumer unit, the routes that apply
+    @pytest.mark.parametrize("cls", ["pi", "unitary", "projection", "nonpi", "ginibre", "positive"])
+    @pytest.mark.parametrize("dims", [(6,), (2, 3)], ids=["M6", "M2+M3"])
+    def test_classify_element_budget(self, tmp_path, monkeypatch, dims, cls):
+        x = _small_ops_mix(AlgebraShape(dims), np.random.default_rng(sum(dims)))[cls]
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(documents.element_to_doc(x)))
+        built = _count_elements(monkeypatch)
+        with redirect_stdout(io.StringIO()):
+            assert main(["classify", str(path), "--unit"]) == 0
+        assert built[0] <= 4
 
 
 def _classify_linalg_calls(x: Element, tmp_path, monkeypatch) -> tuple[int, int]:
@@ -1359,6 +1393,14 @@ class TestInvertibility:
         assert verify_certificate(x, cert)
         assert sorted(calls) == sorted([("svd", (n, n), False) for n in (2, 3)] * 2)
 
+    @pytest.mark.parametrize(("d", "verified"), [(1e-9, True), (5e-8, False), (1e-7, False)])
+    def test_unitarity_cut_is_equality(self, d, verified):
+        # u = diag(1, sqrt(1 - d)) on x = 1 passes the norm test for any
+        # such d (||u - x|| ~ d/2 against sqrt(1 - d) - 0.5), so the answer
+        # is the cut ||u*u - 1|| = d <= equality alone, a decade either side
+        u = diag_element([1.0, np.sqrt(1.0 - d)])
+        assert verify_certificate(unit(M2), InvertibilityCertificate(u, 0.5)) is verified
+
     def test_malformed_raises(self):
         x = diag_element([2.0, 1.0])
         with pytest.raises(MalformedCertificateError):
@@ -1611,6 +1653,13 @@ class TestPositive:
             assert v.evidence["conditions"]["spectral"] is True
             assert v.evidence["unanimous"] is False
 
+    @pytest.mark.parametrize(("eps", "shift_ok"), [(1e-9, True), (1e-7, False)])
+    def test_norm_shift_slack_is_equality(self, eps, shift_ok):
+        # x = diag(1, -eps) has ||x|| = 1 and || ||x|| 1 - x || = 1 + eps:
+        # the norm-shift inequality holds up to equality, a decade either side
+        v = is_positive(diag_element([1.0, -eps]))
+        assert v.evidence["conditions"]["norm_shift"] is shift_ok
+
 
 @pytest.mark.parametrize(
     "s",
@@ -1730,6 +1779,15 @@ class TestProjection:
             v = 2.0 * x - unit(x.shape)
             assert np.array_equal((v - v.H).blocks[0], 2.0 * (x - x.H).blocks[0])
             assert element_norm(v - v.H) == 2.0 * element_norm(x - x.H)
+
+    @pytest.mark.parametrize(("skew", "symmetric"), [(1e-7, True), (1.5e-6, False), (1e-5, False)])
+    def test_symmetry_cut_reads_twice_the_hermitian_residual(self, skew, symmetric):
+        # x = diag(1 + i skew/4, 0): ||x|| = 1 to rounding, ||v - v*|| =
+        # 2 ||x - x*|| = skew and ||v*v - 1|| = skew^2/4, so the symmetry
+        # condition is skew <= classification, a decade either side, and at
+        # 1.5e-6 it reads ||v - v*||, not ||x - x*|| = 7.5e-7
+        v = is_projection(diag_element([1.0 + 0.25j * skew, 0.0]))
+        assert v.evidence["conditions"]["symmetry_unitary"] is symmetric
 
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -8,7 +8,7 @@ import pytest
 from conftest import diag_element
 from opgeo import cli, documents
 from opgeo.algebra import AlgebraShape, Element, element_norm
-from opgeo.classify import construct_witness, is_positive, is_projection, recover_adjoint
+from opgeo.classify import DEFAULT_TOLERANCES, construct_witness, is_positive, is_projection, recover_adjoint
 from opgeo.cli import main
 from opgeo.generators import gen_invertible, gen_norm_one_non_pi
 from opgeo.harness import MAX_BLOCK_DIM
@@ -145,6 +145,11 @@ class TestClassify:
     def test_bad_tolerance_exits_2(self, identity3):
         code, _, err = run_cli("classify", identity3, "--tol", "bogus=1")
         assert code == 2
+
+    def test_default_tolerances_are_the_one_frozen_object(self):
+        assert cli._parse_tolerances(None) is DEFAULT_TOLERANCES
+        loose = cli._parse_tolerances(["classification=1e-3"])
+        assert loose.as_dict() == {"equality": 1e-8, "classification": 1e-3}
 
     def test_norm_gate_tolerance_reaches_the_routes(self, tmp_path):
         # the norm gate passes at classification=1e-3, and the witness route

@@ -184,8 +184,8 @@ class Functional:
 
 def element_norm(x: Element) -> float:
     """Direct-sum operator norm from the singular values alone, for
-    temporaries and independent re-checks (x.norm reads x's snapshot)."""
-    return max(linalg.operator_norm(b) for b in x.blocks)
+    independent re-checks (x.norm reads x's snapshot)."""
+    return linalg.direct_sum_norm(x.blocks)
 
 
 def functional_norm(f: Functional) -> float:
@@ -308,7 +308,7 @@ def numeric_span_rank(fs, tol: float = SPAN_RANK_TOL) -> int:
     if len(fs) == 0:
         return 0
     mat = fs if isinstance(fs, np.ndarray) else np.stack([f.vectorize() for f in fs])
-    s = np.linalg.svd(mat, compute_uv=False)
+    s = linalg.singular_values(mat)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
@@ -327,23 +327,18 @@ def min_real_over_norming(
 ) -> NormingMinimum:
     """inf of Re f(x) over functionals norming the unitary u.
 
-    u counts as unitary when ||u*u - 1|| <= tol.equality on every block.
-    The infimum equals the min over blocks of the smallest eigenvalue of
-    the Hermitian part of x u*; the Hermitian residual
-    max_i ||(xu*)_i - (xu*)_i*|| is reported alongside (it vanishes exactly
-    when all f(x) are real).
+    u counts as unitary when ||u*u - 1|| <= tol.equality; a u*u that
+    overflows raises LinalgError.  The infimum equals the min over blocks
+    of the smallest eigenvalue of the Hermitian part of x u*; the Hermitian
+    residual max_i ||(xu*)_i - (xu*)_i*|| is reported alongside (it
+    vanishes exactly when all f(x) are real).
     """
     if u.shape != x.shape:
         raise ShapeMismatchError("unitary and element shapes differ")
-    for b in u.blocks:
-        dev = linalg.operator_norm(b.conj().T @ b - np.eye(b.shape[0]))
-        if dev > tol.equality:
-            raise PreconditionError(f"u is not unitary: ||u*u - 1|| = {dev:.3e}")
-    value = np.inf
-    resid = 0.0
-    for xb, ub in zip(x.blocks, u.blocks):
-        m = xb @ ub.conj().T
-        resid = max(resid, linalg.operator_norm(m - m.conj().T))
-        herm = 0.5 * (m + m.conj().T)
-        value = min(value, float(np.linalg.eigvalsh(herm)[0]))
-    return NormingMinimum(value=float(value), hermitian_residual=resid)
+    dev = linalg.direct_sum_norm(b.conj().T @ b - np.eye(b.shape[0]) for b in u.blocks)
+    if dev > tol.equality:
+        raise PreconditionError(f"u is not unitary: ||u*u - 1|| = {dev:.3e}")
+    products = [xb @ ub.conj().T for xb, ub in zip(x.blocks, u.blocks)]
+    resid = linalg.direct_sum_norm(m - m.conj().T for m in products)
+    value = min(float(np.linalg.eigvalsh(0.5 * m + 0.5 * m.conj().T)[0]) for m in products)  # halves first
+    return NormingMinimum(value=value, hermitian_residual=resid)

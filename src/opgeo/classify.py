@@ -42,7 +42,6 @@ from opgeo.algebra import (
 )
 from opgeo.errors import (
     DegenerateInputError,
-    LinalgError,
     MalformedCertificateError,
     PreconditionError,
     ShapeMismatchError,
@@ -136,28 +135,14 @@ def _same_algebra(x: Element, y: Element) -> None:
         raise ShapeMismatchError("elements live in different algebras")
 
 
-def _grid_norms(x: Element, y: Element, bs) -> np.ndarray:
-    """||x + b y|| for every b in the flat sequence of scalars bs, one
-    stacked SVD per block.  A y from another algebra raises ShapeMismatchError."""
-    _same_algebra(x, y)
-    bs = np.asarray(bs, dtype=np.complex128)
+def _grid_norms(xs, ys, bs) -> np.ndarray:
+    """||x + b y|| for every b in the flat sequence of scalars bs, x and y
+    given as one array per block of one algebra, one stacked SVD per block."""
+    bs = np.asarray(bs, dtype=np.complex128)[:, None, None]
     norms = np.zeros(bs.shape[0])
-    for xb, yb in zip(x.blocks, y.blocks):
-        stack = xb[None, :, :] + bs[:, None, None] * yb[None, :, :]
-        s = np.linalg.svd(stack, compute_uv=False)
-        norms = np.maximum(norms, s[:, 0])
+    for xb, yb in zip(xs, ys):
+        norms = np.maximum(norms, linalg.singular_values(xb[None, :, :] + bs * yb[None, :, :])[:, 0])
     return norms
-
-
-def _residual_norm(blocks) -> float:
-    """The direct-sum norm max_i ||r_i|| of a residual that a route only
-    measures, given as one array per block and never made an Element.  Like
-    an Element block, a residual that is not finite (an overflow that the
-    caller's errstate let through) raises LinalgError, before LAPACK sees it."""
-    blocks = list(blocks)
-    if not all(np.isfinite(r).all() for r in blocks):
-        raise LinalgError("matrix has non-finite entries")
-    return max(linalg.operator_norm(r) for r in blocks)
 
 
 def _unit(b: np.ndarray) -> np.ndarray:
@@ -171,7 +156,7 @@ def _unit(b: np.ndarray) -> np.ndarray:
 
 def is_partial_isometry_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """x x* x = x within tol.classification (support identity oracle)."""
-    return _residual_norm((b @ b.conj().T) @ b - b for b in x.blocks) <= tol.classification
+    return linalg.direct_sum_norm((b @ b.conj().T) @ b - b for b in x.blocks) <= tol.classification
 
 
 def construct_witness(
@@ -213,7 +198,7 @@ def _measure_witness(
     x: Element, nrm: float, y: Element, b: float, spectral_point: float, tol: Tolerances
 ) -> tuple[PartialIsometryWitness, bool, float]:
     """(witness, verified, deviation) for (y, b) measured on x, ||x|| = nrm."""
-    norm_plus, norm_minus, norm_at_b = map(float, _grid_norms(x, y, [1.0, -1.0, b]))
+    norm_plus, norm_minus, norm_at_b = map(float, _grid_norms(x.blocks, y.blocks, [1.0, -1.0, b]))
     deviation = max(abs(norm_plus - nrm), abs(norm_minus - nrm))
     margin = norm_at_b - nrm
     witness = PartialIsometryWitness(y, b, norm_plus, norm_minus, norm_at_b, margin, spectral_point)
@@ -230,6 +215,7 @@ def verify_witness(
 
     A witness whose y lives in another algebra raises ShapeMismatchError.
     """
+    _same_algebra(x, w.y)
     nrm = element_norm(x)
     measured, verified, deviation = _measure_witness(x, nrm, w.y, w.b, w.spectral_point, tol)
     return verified, measured.margin, deviation
@@ -287,17 +273,15 @@ def _in_face(face: NormingSetDescription, y: Element) -> bool:
 
 
 def x2_deviation(x: Element, y: Element) -> float:
-    """max over the b-grid of | ||x + by|| - max(1, ||by||) |, measured in
-    two chunks: the 16 phases of the largest radius, then the other radii.
-    ||y|| is measured afresh, not read from y's snapshot."""
+    """max over the b-grid of | ||x + by|| - max(1, ||by||) |, the 208
+    points measured in one stack per block.  ||y|| is measured afresh, not
+    read from y's snapshot."""
     _same_algebra(x, y)
     y_norm = element_norm(y)
     if y_norm <= _NEGLIGIBLE:
         return abs(element_norm(x) - 1.0)
-    return max(
-        float(np.max(np.abs(_grid_norms(x, y, bs) - np.maximum(1.0, np.abs(bs) * y_norm))))
-        for bs in (_B_GRID[-1], _B_GRID[:-1].ravel())
-    )
+    bs = _B_GRID.ravel()
+    return float(np.max(np.abs(_grid_norms(x.blocks, y.blocks, bs) - np.maximum(1.0, np.abs(bs) * y_norm))))
 
 
 def x2_member(x: Element, y: Element) -> bool:
@@ -412,7 +396,6 @@ def x2_deviation_bound(x: Element, y: Element) -> float:
 def _defect_direction(x: Element, rng: np.random.Generator) -> Element | None:
     """A normalized direction from the corner (1-q) A (1-p), p = x*x, q = xx*,
     or None below _DEFECT_FLOOR; harness T1F and gate criterion 1 draw it."""
-    shape = x.shape
     blocks = []
     for b in x.blocks:
         d = b.shape[0]
@@ -420,11 +403,10 @@ def _defect_direction(x: Element, rng: np.random.Generator) -> Element | None:
         q = b @ b.conj().T
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         blocks.append((np.eye(d) - q) @ g @ (np.eye(d) - p))
-    y = Element(shape, tuple(blocks))
-    nrm = element_norm(y)
+    nrm = linalg.direct_sum_norm(blocks)
     if nrm <= _DEFECT_FLOOR:
         return None
-    return (1.0 / nrm) * y
+    return Element(x.shape, tuple(complex(1.0 / nrm) * b for b in blocks))
 
 
 def _random_direction(x: Element, rng: np.random.Generator) -> Element:
@@ -432,8 +414,8 @@ def _random_direction(x: Element, rng: np.random.Generator) -> Element:
         rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         for d in x.shape.block_dims
     ]
-    y = Element(x.shape, tuple(blocks))
-    return (1.0 / element_norm(y)) * y
+    s = complex(1.0 / linalg.direct_sum_norm(blocks))
+    return Element(x.shape, tuple(s * b for b in blocks))
 
 
 def _frame_probe(x: Element, face: NormingSetDescription) -> Element | None:
@@ -523,7 +505,7 @@ def is_unitary_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) ->
 
 def _unitary_residual(blocks) -> float:
     """max_i ||b_i* b_i - 1|| over the arrays b_i."""
-    return _residual_norm(b.conj().T @ b - _unit(b) for b in blocks)
+    return linalg.direct_sum_norm(b.conj().T @ b - _unit(b) for b in blocks)
 
 
 def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -600,11 +582,10 @@ class DefectNormReport:
 def defect_norm_identity(x: Element) -> DefectNormReport:
     """Audit the defect-perturbation norm identities over t in
     (0.1, 0.5, 1, 2, 10) and the 16th roots of unity a."""
-    one = Element.identity(x.shape)
-    p = one - x.H @ x
+    p = [_unit(b) - b.conj().T @ b for b in x.blocks]
     t = np.array(_DEFECT_T_GRID)
-    reference = _grid_norms(x @ x.H, p, t * t)[:, None]
-    nrm = _grid_norms(x, p, (t[:, None] * _PHASES).ravel()).reshape(t.size, -1)
+    reference = _grid_norms([b @ b.conj().T for b in x.blocks], p, t * t)[:, None]
+    nrm = _grid_norms(x.blocks, p, (t[:, None] * _PHASES).ravel()).reshape(t.size, -1)
     return DefectNormReport(
         identity_deviation=float(np.max(np.abs(nrm * nrm - reference))),
         inequality_slack=max(0.0, float(np.max(nrm * nrm - (1.0 + t * t)[:, None]))),
@@ -679,7 +660,7 @@ def verify_certificate(
     gap = t * (cert.epsilon - tol.equality)
     if d > tol.equality or not _NORM_ROUNDING < gap < np.inf:
         return False
-    distance = _residual_norm(u - complex(t) * b for u, b in zip(cert.u.blocks, x.blocks))
+    distance = linalg.direct_sum_norm(u - complex(t) * b for u, b in zip(cert.u.blocks, x.blocks))
     return bool(distance <= max(0.0, 1.0 - d) ** 0.5 - gap)
 
 
@@ -700,7 +681,7 @@ def _invertible_verdict(x: Element, tol: Tolerances) -> Verdict:
 def lumer_slopes(x: Element, alphas: tuple[float, ...] = LUMER_ALPHAS) -> dict[float, float]:
     """Signed slopes d(alpha) = (||1 + i alpha x|| - 1) / alpha for both signs."""
     signed = [s for a in alphas for s in (a, -a)]
-    norms = _grid_norms(Element.identity(x.shape), x, [1j * s for s in signed])
+    norms = _grid_norms([_unit(b) for b in x.blocks], x.blocks, [1j * s for s in signed])
     return {s: (float(n) - 1.0) / s for s, n in zip(signed, norms)}
 
 
@@ -835,7 +816,7 @@ def is_positive(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
 
 def _hermitian_deviation(x: Element) -> float:
     """||x - x*||, on x's arrays."""
-    return _residual_norm(b - b.conj().T for b in x.blocks)
+    return linalg.direct_sum_norm(b - b.conj().T for b in x.blocks)
 
 
 def _positive_verdict(x: Element, herm_dev: float, spanning: list[np.ndarray], tol: Tolerances) -> Verdict:
@@ -855,7 +836,7 @@ def _positive_verdict(x: Element, herm_dev: float, spanning: list[np.ndarray], t
 
     # norm route: real on the spanning states, as in is_self_adjoint_states
     nrm = x.norm
-    shift_ok = _residual_norm(complex(nrm) * _unit(b) - b for b in x.blocks) <= nrm + tol.equality
+    shift_ok = linalg.direct_sum_norm(complex(nrm) * _unit(b) - b for b in x.blocks) <= nrm + tol.equality
     norm_route = _states_real(spanning, tol) and shift_ok
 
     evidence = {
@@ -882,7 +863,7 @@ def _projection_verdict(x: Element, pi: bool, herm_dev: float, pos: Verdict, tol
     2 herm_dev: doubling is exact, and the real unit leaves the imaginary
     diagonal alone."""
     cut = tol.classification
-    oracle = _residual_norm(b @ b - b for b in x.blocks) <= cut and herm_dev <= cut
+    oracle = linalg.direct_sum_norm(b @ b - b for b in x.blocks) <= cut and herm_dev <= cut
     pi_and_positive = pi and pos.algebraic and pos.geometric
     v = [complex(2.0) * b - _unit(b) for b in x.blocks]  # before the cut: an overflow of 2x raises here
     symmetry = 2.0 * herm_dev <= cut and _unitary_residual(v) <= cut

@@ -2,6 +2,9 @@
 
 Everything here operates on plain ``numpy`` complex matrices at desk scale
 (n <= ~64).  All outputs are freshly allocated; nothing mutates its input.
+Every kernel rejects an input that is not finite with LinalgError before
+LAPACK sees it, so an overflow that the caller's errstate let through
+neither prints a LAPACK error nor carries nan into a decision.
 """
 
 from __future__ import annotations
@@ -16,13 +19,17 @@ from opgeo.errors import LinalgError
 HERMITIAN_RESIDUAL_BOUND = 1e-9
 
 
+def _require_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise LinalgError("matrix has non-finite entries")
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
     m = np.array(a, dtype=np.complex128)
     if m.ndim != 2:
         raise LinalgError(f"expected a 2-d array, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise LinalgError("matrix has non-finite entries")
+    _require_finite(m)
     return m
 
 
@@ -92,7 +99,7 @@ def hermitian_eig(a, tol: float = HERMITIAN_RESIDUAL_BOUND) -> SpectralDecomposi
         raise LinalgError(
             f"matrix is not Hermitian: ||A - A*|| = {resid:.3e} exceeds {tol:.1e}*max(1,||A||)"
         )
-    h = 0.5 * (m + m.conj().T)
+    h = 0.5 * m + 0.5 * m.conj().T  # halves first: no overflow
     w, u = np.linalg.eigh(h)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
@@ -108,6 +115,7 @@ def operator_norm(a) -> float:
     """Largest singular value: the LAPACK call behind np.linalg.norm(m, 2),
     without its reduction, so the same number bit for bit."""
     m = np.asarray(a, dtype=np.complex128)
+    _require_finite(m)
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -116,14 +124,24 @@ def operator_norm(a) -> float:
 def trace_norm(a) -> float:
     """Sum of singular values (dual norm to the operator norm)."""
     m = np.asarray(a, dtype=np.complex128)
+    _require_finite(m)
     if m.size == 0:
         return 0.0
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values, descending."""
-    return np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
+    """Singular values, descending, of a matrix or of each matrix of a
+    stack."""
+    m = np.asarray(a, dtype=np.complex128)
+    _require_finite(m)
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def direct_sum_norm(blocks) -> float:
+    """The direct-sum operator norm max_i ||b_i|| of an element given as one
+    array per block, such as a residual that a route only measures."""
+    return max(operator_norm(b) for b in blocks)
 
 
 def polar(a, side: str = "left") -> PolarDecomposition:

@@ -19,7 +19,7 @@ from opgeo.algebra import (
     sample_norming_densities,
     sample_norming_functional,
 )
-from opgeo.errors import PreconditionError, ShapeMismatchError
+from opgeo.errors import LinalgError, PreconditionError, ShapeMismatchError
 from opgeo.generators import gen_ginibre, gen_invertible, gen_unitary
 
 
@@ -228,3 +228,22 @@ class TestMinRealOverNorming:
     def test_rejects_non_unitary(self):
         with pytest.raises(PreconditionError):
             min_real_over_norming(diag_element([1.0, 0.5]), diag_element([1.0, 1.0]))
+
+    def test_overflowing_unitarity_check_raises_before_lapack(self, capfd):
+        # u*u overflows on u = 1e200 * 1 in M3.  Outside the CLI, which
+        # raises at the overflow itself, numpy only flags it: the check once
+        # handed the inf matrix u*u - 1 to LAPACK, which printed a DLASCL
+        # error, measured nan, and returned a minimum for a u far from unitary
+        one = Element.identity(AlgebraShape((3,)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LinalgError, match="^matrix has non-finite entries$"):
+                min_real_over_norming(1e200 * one, one)
+        assert "DLASCL" not in capfd.readouterr().err
+
+    def test_largest_floats_keep_their_minimum(self):
+        # m + m* overflows on m = x u* = diag(1e308, -1e308), (m + m*)/2 does
+        # not: the Hermitian part once came out inf and the minimum nan
+        one = Element.identity(AlgebraShape((2,)))
+        with np.errstate(over="raise"):
+            res = min_real_over_norming(one, diag_element([1e308, -1e308]))
+        assert res.value == -1e308 and res.hermitian_residual == 0.0

@@ -190,6 +190,28 @@ class TestWitness:
         with pytest.raises(DegenerateInputError):
             construct_witness(diag_element([0.0, 0.0]))
 
+    @pytest.mark.parametrize(("delta", "accepted"), [(1e-9, True), (1e-7, False)])
+    def test_witness_deviation_cut_is_equality(self, delta, accepted):
+        # y + delta e1 e1* on x = diag(1, 0.5) moves ||x +/- y|| to 1 +/- delta,
+        # a deviation of delta, a decade either side of tol.equality and
+        # below tol.classification
+        x = diag_element([1.0, 0.5])
+        w = construct_witness(x)
+        nudged = w.y + Element.from_blocks([np.diag([delta, 0.0])])
+        verified, margin, deviation = verify_witness(x, dataclasses.replace(w, y=nudged))
+        assert deviation == pytest.approx(delta, rel=1e-6)
+        assert margin > 0.0
+        assert verified is accepted
+
+    @pytest.mark.parametrize(("s", "exists"), [(5e-4, False), (5e-3, True), (1.0 - 5e-3, True), (1.0 - 5e-4, False)])
+    def test_witness_gap(self, s, exists):
+        # a witness needs a singular value ratio in [1e-3, 1 - 1e-3]; the
+        # distance of s from 0 or 1 is five times the gap 1e-3, or half of it
+        w = construct_witness(diag_element([1.0, s]))
+        assert (w is not None) is exists
+        if exists:
+            assert verify_witness(diag_element([1.0, s]), w)[0]
+
 
 class TestComparisonSets:
     def test_witness_separates_the_sets(self):
@@ -447,8 +469,9 @@ class TestX1Member:
     # Elements constructed, each a validated copy of its blocks: 21, 23, 25,
     # 24, 19 and 28 (pi, unitary, projection, nonpi, ginibre, positive, at
     # M6 and at M2+M3 alike) while every oracle residual was a chain of
-    # Elements; now the input, the witness y, the certificate u, the frame
-    # probe and the Lumer unit, the routes that apply
+    # Elements, 3, 3, 3, 4, 3, 4 while the Lumer unit was one; now the
+    # input, the witness y, the certificate u and the frame probe, the
+    # routes that apply
     @pytest.mark.parametrize("cls", ["pi", "unitary", "projection", "nonpi", "ginibre", "positive"])
     @pytest.mark.parametrize("dims", [(6,), (2, 3)], ids=["M6", "M2+M3"])
     def test_classify_element_budget(self, tmp_path, monkeypatch, dims, cls):
@@ -458,7 +481,7 @@ class TestX1Member:
         built = _count_elements(monkeypatch)
         with redirect_stdout(io.StringIO()):
             assert main(["classify", str(path), "--unit"]) == 0
-        assert built[0] <= 4
+        assert built[0] <= 3
 
 
 def _classify_linalg_calls(x: Element, tmp_path, monkeypatch) -> tuple[int, int]:
@@ -633,7 +656,7 @@ def seed_x2_deviation(x: Element, y: Element) -> float:
     if y_norm <= 1e-12:
         return abs(element_norm(x) - 1.0)
     bs = SEED_B_GRID
-    norms = classify._grid_norms(x, y, bs)
+    norms = classify._grid_norms(x.blocks, y.blocks, bs)
     reference = np.maximum(1.0, np.abs(bs) * y_norm)
     return float(np.max(np.abs(norms - reference)))
 
@@ -774,7 +797,7 @@ class TestX2DeviationBound:
             if element_norm(y) <= 1e-12:
                 continue
             r = np.maximum(1.0, rho * element_norm(y))
-            off_grid = np.max(np.abs(classify._grid_norms(x, y, rho * phase) - r))
+            off_grid = np.max(np.abs(classify._grid_norms(x.blocks, y.blocks, rho * phase) - r))
             assert x2_deviation_bound(x, y) + _rounding_allowance(x, y) >= off_grid
 
     @pytest.mark.parametrize(
@@ -830,7 +853,7 @@ class TestX2Bounds:
             r, upper, lower = _x2_bounds(x, y)
             d = 2.0 * classify._NORM_ROUNDING * (r + element_norm(x))
             for bs in (classify._B_GRID, off_grid):
-                norms = classify._grid_norms(x, y, bs.ravel()).reshape(bs.shape)
+                norms = classify._grid_norms(x.blocks, y.blocks, bs.ravel()).reshape(bs.shape)
                 assert np.all(norms <= (upper + d)[:, None])
                 assert np.all(norms >= (lower - d)[:, None])
 
@@ -918,6 +941,11 @@ def _witness_numbers(w) -> tuple:
     return tuple(getattr(w, key) for key in _WITNESS_FIELDS)
 
 
+def _verify_direction(x: Element, y: Element):
+    """verify_witness of x on a witness whose direction is y."""
+    return verify_witness(x, classify.PartialIsometryWitness(y, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5))
+
+
 def _count_elements(monkeypatch) -> list:
     """Count Element constructions (every one validates its blocks)."""
     built = [0]
@@ -996,7 +1024,9 @@ class TestNormSweeps:
         defect_norm_identity(x)
         # ||xx* + t^2 p|| over the 5 t, ||x + atp|| over the 5 x 16 grid
         assert calls == Counter({("svd", (5,)): 2, ("svd", (80,)): 2})
-        assert built[0] == 6  # 1, x*, x*x, p, x* again and xx*: none per grid point
+        # 6 while the audit swept Elements (1, x*, x*x, p, x* again and
+        # xx*); now p and xx* are arrays
+        assert built[0] == 0
 
     def test_lumer_slopes_are_one_stacked_svd_per_block(self, monkeypatch, rng):
         x = gen_ginibre(M2_M3, rng)
@@ -1004,7 +1034,7 @@ class TestNormSweeps:
         built = _count_elements(monkeypatch)
         lumer_slopes(x)
         assert calls == Counter({("svd", (6,)): 2})
-        assert built[0] == 1  # the unit
+        assert built[0] == 0  # 1 while the unit was an Element
 
     def test_witness_measurement_is_one_stacked_svd_per_block(self, monkeypatch, rng):
         x = gen_norm_one_non_pi(M2_M3, rng)
@@ -1019,13 +1049,16 @@ class TestNormSweeps:
 
     @pytest.mark.parametrize(
         ("x_dims", "y_dims"),
-        [((2, 3), (2,)), ((2,), (2, 3)), ((3,), (2,)), ((2, 3), (3, 2))],
-        ids=["M2+M3,M2", "M2,M2+M3", "M3,M2", "M2+M3,M3+M2"],
+        [((2, 3), (2,)), ((2,), (2, 3)), ((3,), (2,)), ((2, 3), (3, 2)), ((2,), (3,)), ((2,), (2, 2))],
+        ids=["M2+M3,M2", "M2,M2+M3", "M3,M2", "M2+M3,M3+M2", "M2,M3", "M2,M2+M2"],
     )
-    @pytest.mark.parametrize("tester", [x1_member, x2_member, x2_deviation])
+    @pytest.mark.parametrize(
+        "tester", [x1_member, x2_member, x2_deviation, pytest.param(_verify_direction, id="verify_witness")]
+    )
     def test_direction_of_another_algebra_raises(self, tester, x_dims, y_dims):
         # the testers once answered from the shared blocks, let numpy's
-        # broadcast error escape, or took a zero y's shortcut unchecked
+        # broadcast error escape, or took a zero y's shortcut unchecked;
+        # the norm sweep reads arrays, so each entry point checks y
         rng = np.random.default_rng(17)
         x = gen_norm_one_non_pi(AlgebraShape(x_dims), rng)
         y = _random_direction(gen_ginibre(AlgebraShape(y_dims), rng), rng)

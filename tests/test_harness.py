@@ -185,9 +185,9 @@ class TestT1F:
             defects.append(draw(x, rng))
             return defects[-1]
 
-        def recorded_grid_norms(x, y, bs):
-            measured.append(y)
-            return grid_norms(x, y, bs)
+        def recorded_grid_norms(xs, ys, bs):
+            measured.append(ys)
+            return grid_norms(xs, ys, bs)
 
         def unexpected(x, y):
             raise AssertionError("x2_deviation called")
@@ -198,7 +198,7 @@ class TestT1F:
         (result,) = run_suite(TrialConfig(seed=0, trials=20, suites=("T1F",))).suites
         assert result.passes == 20
         assert 0.0 < result.max_deviation <= 1e-10
-        assert len(defects) == 80 and not any(y is m for y in defects for m in measured)
+        assert len(defects) == 80 and not any(y.blocks is m for y in defects for m in measured)
 
 
 class TestT4:

@@ -50,6 +50,21 @@ class TestHermitianEig:
         with pytest.raises(LinalgError, match="finite"):
             linalg.hermitian_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_overflowing_residual_raises_before_lapack(self, capfd):
+        # A - A* overflows; the residual check once measured nan, which no
+        # cut rejects, and returned nan eigenvalues
+        a = np.array([[1.7e308, -1.7e308], [1.7e308, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LinalgError, match="^matrix has non-finite entries$"):
+                linalg.hermitian_eig(a)
+        assert "DLASCL" not in capfd.readouterr().err
+
+    def test_largest_floats_keep_their_eigenvalues(self):
+        # A + A* overflows on diag(1e308, 1), (A + A*)/2 does not
+        with np.errstate(over="raise"):
+            dec = linalg.hermitian_eig(np.diag([1e308, 1.0]))
+        np.testing.assert_array_equal(dec.eigenvalues, [1.0, 1e308])
+
 
 class TestSVD:
     def test_zero_matrix(self):

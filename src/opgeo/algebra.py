@@ -161,6 +161,18 @@ class Element:
         return out
 
 
+def take_snapshots(elements) -> None:
+    """Take the `svds` of several elements of one algebra with one stacked
+    SVD per block: the same snapshots, bit for bit, as each element's own,
+    which later reads of `svds` and `norm` return."""
+    shape = elements[0].shape
+    if any(e.shape != shape for e in elements):
+        raise ShapeMismatchError("elements live in different algebras")
+    per_block = [linalg.svd_stack([e.blocks[i] for e in elements]) for i in range(len(shape.block_dims))]
+    for e, svds in zip(elements, zip(*per_block)):
+        vars(e)["svds"] = svds  # where the cached_property keeps its value
+
+
 @dataclass(frozen=True)
 class Functional:
     """A dual element under the trace pairing: f(x) = sum_i tr(a_i x_i)."""

@@ -252,24 +252,24 @@ def x1_member(x: Element, y: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -
     _, off = norm_one_gate(x, tol=tol)
     if off:
         raise PreconditionError(f"x1_member {off}")
-    return _in_face(norming_set(x, tol=tol), y)
+    return _in_face(norming_set(x, tol=tol), [y])[0]
 
 
-def _in_face(face: NormingSetDescription, y: Element) -> bool:
-    """The face test of `x1_member` for x = face.base, whose face a caller
-    testing many directions builds once: max(||y V_J||, ||W_J* y||) / ||y||
-    <= member_tol (1e-7), the frames read from x.svds and ||y|| from y.svds.
-    A zero y answers True."""
-    y_norm = y.norm
-    if y_norm <= _NEGLIGIBLE:
-        return True
-    deviation = 0.0
-    for res, yb, j in zip(face.base.svds, y.blocks, face.unit_indices):
+def _in_face(face: NormingSetDescription, ys) -> list[bool]:
+    """The face test of `x1_member` for x = face.base on each direction of
+    the sequence ys, whose face a caller testing many directions builds
+    once: max(||y V_J||, ||W_J* y||) / ||y|| <= member_tol (1e-7), the
+    frames read from x.svds and ||y|| from y.svds, one stacked call per
+    active block for all of ys.  A zero y answers True."""
+    norms = np.array([y.norm for y in ys])
+    deviation = np.zeros(norms.size)
+    for i, (res, j) in enumerate(zip(face.base.svds, face.unit_indices)):
         if j:
             w, v = res.left[:, list(j)], res.right[:, list(j)]
-            pair = np.stack([yb @ v, yb.conj().T @ w])  # ||W_J* y|| = ||y* W_J||
-            deviation = max(deviation, float(linalg.singular_values(pair)[:, 0].max()))
-    return deviation <= _MEMBER_TOL * y_norm
+            yb = np.stack([y.blocks[i] for y in ys])
+            pairs = np.stack([yb @ v, yb.conj().transpose(0, 2, 1) @ w], axis=1)  # ||W_J* y|| = ||y* W_J||
+            deviation = np.maximum(deviation, linalg.singular_values(pairs)[:, :, 0].max(axis=1))
+    return ((norms <= _NEGLIGIBLE) | (deviation <= _MEMBER_TOL * norms)).tolist()
 
 
 def x2_deviation(x: Element, y: Element) -> float:
@@ -393,29 +393,41 @@ def x2_deviation_bound(x: Element, y: Element) -> float:
     return float(max(0.0, np.max(np.maximum(upper - r, r - lower))))
 
 
+def _draw_directions(x: Element, rng: np.random.Generator, defect) -> list[Element | None]:
+    """Normalized directions of x, one per flag of the sequence `defect`,
+    each from a complex Gaussian A, the generator read as by one draw per
+    direction in turn: per block the real part of A, then the imaginary
+    part.  A True flag takes the defect corner (1-q) A (1-p), p = x*x,
+    q = xx*, and gives None at or below _DEFECT_FLOOR; a False flag takes A
+    itself.  All are normalized with one stacked singular-value call per
+    block."""
+    dims = x.shape.block_dims
+    draws = rng.standard_normal((len(defect), sum(2 * d * d for d in dims)))
+    corners = np.flatnonzero(defect)
+    stacks, pos = [], 0
+    for b, d in zip(x.blocks, dims):
+        re, im = draws[:, pos : pos + 2 * d * d].reshape(-1, 2, d, d).transpose(1, 0, 2, 3)
+        a = re + 1j * im
+        pos += 2 * d * d
+        if corners.size:
+            a[corners] = (np.eye(d) - b @ b.conj().T) @ a[corners] @ (np.eye(d) - b.conj().T @ b)
+        stacks.append(a)
+    norms = linalg.direct_sum_norms(stacks).tolist()
+    return [
+        None if d and nrm <= _DEFECT_FLOOR else Element(x.shape, tuple(complex(1.0 / nrm) * a[k] for a in stacks))
+        for k, (d, nrm) in enumerate(zip(defect, norms))
+    ]
+
+
 def _defect_direction(x: Element, rng: np.random.Generator) -> Element | None:
-    """A normalized direction from the corner (1-q) A (1-p), p = x*x, q = xx*,
-    or None below _DEFECT_FLOOR; harness T1F and gate criterion 1 draw it."""
-    blocks = []
-    for b in x.blocks:
-        d = b.shape[0]
-        p = b.conj().T @ b
-        q = b @ b.conj().T
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks.append((np.eye(d) - q) @ g @ (np.eye(d) - p))
-    nrm = linalg.direct_sum_norm(blocks)
-    if nrm <= _DEFECT_FLOOR:
-        return None
-    return Element(x.shape, tuple(complex(1.0 / nrm) * b for b in blocks))
+    """One defect direction of `_draw_directions`, or None; gate criterion 1
+    draws it."""
+    return _draw_directions(x, rng, (True,))[0]
 
 
 def _random_direction(x: Element, rng: np.random.Generator) -> Element:
-    blocks = [
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for d in x.shape.block_dims
-    ]
-    s = complex(1.0 / linalg.direct_sum_norm(blocks))
-    return Element(x.shape, tuple(s * b for b in blocks))
+    """One random direction of `_draw_directions`."""
+    return _draw_directions(x, rng, (False,))[0]
 
 
 def _frame_probe(x: Element, face: NormingSetDescription) -> Element | None:

@@ -210,20 +210,21 @@ def _trial_t1f(shape, rng, tol: Tolerances):
     a = ||x||^2, c = rho^2 ||y||^2, k = rho ||xy*||_F the block norms of
     SS* for S = [x; rho y] (`classify._x2_bounds`), v_x, v_y the top right
     singular vectors.  Each random direction z must get the same answer
-    from X1 and X2.  X1 is the face test of `x1_member` on the one face of x."""
+    from X1 and X2.  X1 is the face test of `x1_member` on the one face of x.
+    The four defect and four random directions are drawn, normalized,
+    decomposed and face-tested as stacks, one numpy.linalg call per block
+    for each step (per active block for the face test); the X2 bound and X2
+    run per direction."""
     x = gen_partial_isometry(shape, random_ranks(shape, rng), rng)
     face = algebra.norming_set(x, tol=tol)  # x has norm one
-    dev = 0.0
-    ok = True
-    for _ in range(4):
-        y = classify._defect_direction(x, rng)
-        if y is not None:
-            dev = max(dev, x2_deviation_bound(x, y))
-            if not classify._in_face(face, y):
-                ok = False
-        z = classify._random_direction(x, rng)
-        if classify._in_face(face, z) != x2_member(x, z):
-            ok = False
+    drawn = classify._draw_directions(x, rng, (True, False) * 4)
+    ys = [y for y in drawn[0::2] if y is not None]
+    zs = drawn[1::2]
+    algebra.take_snapshots(ys + zs)
+    dev = max([0.0] + [x2_deviation_bound(x, y) for y in ys])
+    in_x1 = classify._in_face(face, ys + zs)
+    in_x2 = [x2_member(x, z) for z in zs]
+    ok = all(in_x1[: len(ys)]) and in_x1[len(ys) :] == in_x2
     return ok and dev <= tol.equality, dev
 
 

@@ -10,6 +10,7 @@ neither prints a LAPACK error nor carries nan into a decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -111,6 +112,17 @@ def svd(a) -> SVDResult:
     return SVDResult(left=w, singular_values=s, right=vh.conj().T)
 
 
+def svd_stack(a) -> tuple[SVDResult, ...]:
+    """The SVD of each matrix of a stack, one LAPACK call for the stack:
+    the same results as `svd` of each matrix, bit for bit."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        raise LinalgError(f"expected a stack of matrices, got ndim={m.ndim}")
+    _require_finite(m)
+    w, s, vh = np.linalg.svd(m)
+    return tuple(SVDResult(left=wi, singular_values=si, right=vhi.T) for wi, si, vhi in zip(w, s, vh.conj()))
+
+
 def operator_norm(a) -> float:
     """Largest singular value: the LAPACK call behind np.linalg.norm(m, 2),
     without its reduction, so the same number bit for bit."""
@@ -142,6 +154,13 @@ def direct_sum_norm(blocks) -> float:
     """The direct-sum operator norm max_i ||b_i|| of an element given as one
     array per block, such as a residual that a route only measures."""
     return max(operator_norm(b) for b in blocks)
+
+
+def direct_sum_norms(stacks) -> np.ndarray:
+    """The direct-sum norms of several elements of one algebra, given as one
+    stack per block (element j's block i is stacks[i][j]): one LAPACK call
+    per block, the same numbers as `direct_sum_norm` of each, bit for bit."""
+    return reduce(np.maximum, (singular_values(s)[:, 0] for s in stacks))
 
 
 def polar(a, side: str = "left") -> PolarDecomposition:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,35 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_complex(n: int, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
     m = n if m is None else m
     return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: a bit-for-bit match, signed zeros too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stack_corpus(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """n x n complex matrices for the stacked kernels: Gaussian, rank
+    deficient (the zero matrix at n = 1), zero, and both scaled by 1e-200."""
+    g = random_complex(n, rng)
+    k = int(rng.integers(0, n))
+    deficient = g[:, :k] @ random_complex(n, rng)[:k, :]  # rank k < n
+    return [g, deficient, np.zeros((n, n), dtype=np.complex128), 1e-200 * g, 1e-200 * deficient]
+
+
+def count_linalg(monkeypatch, *names) -> Counter:
+    """Count calls of the named numpy.linalg functions by (name, stack shape)."""
+    calls = Counter()
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls[_name, np.shape(a)[:-2]] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diag_element, random_complex
+from conftest import diag_element, random_complex, same_bits, stack_corpus
 from opgeo import linalg
 from opgeo.algebra import (
     AlgebraShape,
@@ -18,6 +18,7 @@ from opgeo.algebra import (
     numeric_span_rank,
     sample_norming_densities,
     sample_norming_functional,
+    take_snapshots,
 )
 from opgeo.errors import LinalgError, PreconditionError, ShapeMismatchError
 from opgeo.generators import gen_ginibre, gen_invertible, gen_unitary
@@ -58,6 +59,41 @@ class TestShapesAndElements:
         assert x.norm == max(float(r.singular_values[0]) for r in first)
         assert x.norm == pytest.approx(element_norm(x), rel=1e-14)
         assert (2.0 * x).norm == pytest.approx(2.0 * x.norm, rel=1e-14)
+
+
+class TestTakeSnapshots:
+    @pytest.mark.parametrize(
+        "dims",
+        [(1,), (2,), (3,), (4,), (6,), (8,), (16,), (32,), (64,), (2, 3), (16, 16)],
+        ids=lambda d: "+".join(f"M{n}" for n in d),
+    )
+    def test_matches_each_elements_own_snapshot(self, dims):
+        # element j's blocks are the j-th matrices of the corpora: Gaussian,
+        # rank-deficient, zero and tiny blocks, met in different pairings
+        rng = np.random.default_rng(sum(dims))
+        corpora = [stack_corpus(n, rng) + stack_corpus(n, rng)[::-1] for n in dims]
+        shape = AlgebraShape(dims)
+        elements = [Element(shape, blocks) for blocks in zip(*corpora)]
+        take_snapshots(elements)
+        for e in elements:
+            alone = Element(shape, e.blocks)  # a fresh element takes its own
+            assert e.norm == alone.norm
+            for res, own in zip(e.svds, alone.svds):
+                assert same_bits(res.left, own.left)
+                assert same_bits(res.singular_values, own.singular_values)
+                assert same_bits(res.right, own.right)
+
+    def test_reads_of_the_snapshot_decompose_nothing(self, monkeypatch, rng):
+        shape = AlgebraShape((2, 3))
+        elements = [Element.from_blocks([random_complex(2, rng), random_complex(3, rng)]) for _ in range(3)]
+        take_snapshots(elements)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert all(len(e.svds) == len(shape.block_dims) and e.norm > 0.0 for e in elements)
+
+    def test_rejects_elements_of_different_algebras(self, rng):
+        elements = [Element.from_blocks([random_complex(2, rng)]), Element.from_blocks([random_complex(3, rng)])]
+        with pytest.raises(ShapeMismatchError, match="different algebras"):
+            take_snapshots(elements)
 
 
 class TestPairing:

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import diag_element, random_complex, random_hermitian
+from conftest import count_linalg, diag_element, random_complex, random_hermitian
 from opgeo import algebra, classify, documents, linalg
 from opgeo.algebra import (
     AlgebraShape,
@@ -229,6 +229,21 @@ class TestComparisonSets:
         assert x2_member(x, y)
         assert x2_deviation(x, y) <= 1e-10
 
+    @pytest.mark.parametrize(("corner", "kept"), [(1e-9, False), (1e-7, True)])
+    def test_defect_floor(self, corner, kept):
+        # on x = diag(1, s) the corner (1 - xx*) A (1 - x*x) of the draw A is
+        # (1 - s^2)^2 a_22 e2 e2*; s puts its norm either side of 1e-8
+        g = np.random.default_rng(11).standard_normal((2, 2, 2))  # A's real part, then its imaginary part
+        a22 = abs(complex(g[0, 1, 1], g[1, 1, 1]))
+        s = np.sqrt(1.0 - np.sqrt(corner / a22))
+        assert (1.0 - s * s) ** 2 * a22 == pytest.approx(corner, rel=1e-6)
+        x = diag_element([1.0, s])
+        y, z = classify._draw_directions(x, np.random.default_rng(11), (True, False))
+        assert z is not None and (y is not None) == kept
+        if kept:
+            assert abs(y.blocks[0][1, 1]) == pytest.approx(1.0, rel=1e-12)
+            assert np.count_nonzero(y.blocks[0]) == 1
+
     def test_zero_direction_in_both_sets(self):
         x = unit(M2)
         zero = diag_element([0.0, 0.0])
@@ -312,20 +327,6 @@ def _x1_corpus(shape: AlgebraShape, rng: np.random.Generator):
             if w is not None:
                 yield x, w.y, "witness"
                 yield x, 3.7 * w.y, "witness"
-
-
-def _count_linalg(monkeypatch, *names) -> Counter:
-    """Count calls of the named numpy.linalg functions by (name, stack shape)."""
-    calls = Counter()
-    for name in names:
-        original = getattr(np.linalg, name)
-
-        def counted(a, *args, _original=original, _name=name, **kwargs):
-            calls[_name, np.shape(a)[:-2]] += 1
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 class TestX1Member:
@@ -489,7 +490,7 @@ def _classify_linalg_calls(x: Element, tmp_path, monkeypatch) -> tuple[int, int]
     they decompose, a stack counting each of its matrices."""
     path = tmp_path / "x.json"
     path.write_text(json.dumps(documents.element_to_doc(x)))
-    calls = _count_linalg(monkeypatch, "svd", "norm", "eigh", "eigvalsh", "lstsq", "cholesky")
+    calls = count_linalg(monkeypatch, "svd", "norm", "eigh", "eigvalsh", "lstsq", "cholesky")
     with redirect_stdout(io.StringIO()):
         assert main(["classify", str(path), "--unit"]) == 0
     return sum(calls.values()), sum(n * int(np.prod(stack)) for (_, stack), n in calls.items())
@@ -555,7 +556,7 @@ class TestOneClassifyPass:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(classify, name, counted)
-        calls = _count_linalg(monkeypatch, "eigh")
+        calls = count_linalg(monkeypatch, "eigh")
         with redirect_stdout(io.StringIO()):
             assert main(["classify", str(path), "--unit"]) == 0
         norm_one = abs(x.norm - 1.0) <= DEFAULT_TOLERANCES.classification
@@ -690,14 +691,14 @@ class TestX2Member:
         # grid point is measured, y is not decomposed, nothing is factorised
         x, rng = self._m8_partial_isometry()
         y = _random_direction(x, rng)
-        calls = _count_linalg(monkeypatch, "svd", "cholesky")
+        calls = count_linalg(monkeypatch, "svd", "cholesky")
         assert x2_member(x, y) is False
         assert calls == Counter()
 
     def test_defect_probe_takes_no_grid_svd(self, monkeypatch):
         x, rng = self._m8_partial_isometry()
         y = _defect_direction(x, rng)
-        calls = _count_linalg(monkeypatch, "svd", "cholesky", "eigvalsh")
+        calls = count_linalg(monkeypatch, "svd", "cholesky", "eigvalsh")
         assert x2_member(x, y) is True
         # y's snapshot; the closed-form bounds certify every radius and phase
         assert calls == Counter({("svd", ()): 1})
@@ -709,7 +710,7 @@ class TestX2Member:
         x = gen_partial_isometry(M2_M3, (1, 2), rng)
         x.svds  # the snapshot a classify pass has already taken
         y = classify._frame_probe(x, norming_set(x))
-        calls = _count_linalg(monkeypatch, "svd", "norm", "cholesky", "eigvalsh")
+        calls = count_linalg(monkeypatch, "svd", "norm", "cholesky", "eigvalsh")
         assert x2_member(x, y) is True
         assert calls == Counter({("svd", ()): 2})
 
@@ -759,7 +760,7 @@ class TestX2Member:
         x = _small_ops_mix(AlgebraShape((6,)), np.random.default_rng(6))["pi"]
         path = tmp_path / "x.json"
         path.write_text(json.dumps(documents.element_to_doc(x)))
-        calls = _count_linalg(monkeypatch, "cholesky", "eigvalsh")
+        calls = count_linalg(monkeypatch, "cholesky", "eigvalsh")
         with redirect_stdout(io.StringIO()):
             assert main(["classify", str(path), "--unit"]) == 0
         assert calls == Counter()
@@ -1019,7 +1020,7 @@ class TestNormSweeps:
 
     def test_defect_audit_is_two_stacked_svds_per_block(self, monkeypatch, rng):
         x = gen_partial_isometry(M2_M3, random_ranks(M2_M3, rng, proper=True), rng)
-        calls = _count_linalg(monkeypatch, "svd", "norm")
+        calls = count_linalg(monkeypatch, "svd", "norm")
         built = _count_elements(monkeypatch)
         defect_norm_identity(x)
         # ||xx* + t^2 p|| over the 5 t, ||x + atp|| over the 5 x 16 grid
@@ -1030,7 +1031,7 @@ class TestNormSweeps:
 
     def test_lumer_slopes_are_one_stacked_svd_per_block(self, monkeypatch, rng):
         x = gen_ginibre(M2_M3, rng)
-        calls = _count_linalg(monkeypatch, "svd", "norm")
+        calls = count_linalg(monkeypatch, "svd", "norm")
         built = _count_elements(monkeypatch)
         lumer_slopes(x)
         assert calls == Counter({("svd", (6,)): 2})
@@ -1039,7 +1040,7 @@ class TestNormSweeps:
     def test_witness_measurement_is_one_stacked_svd_per_block(self, monkeypatch, rng):
         x = gen_norm_one_non_pi(M2_M3, rng)
         w = construct_witness(x)
-        calls = _count_linalg(monkeypatch, "svd", "norm")
+        calls = count_linalg(monkeypatch, "svd", "norm")
         built = _count_elements(monkeypatch)
         assert verify_witness(x, w)[0]
         # ||x|| measured afresh (linalg.operator_norm, one singular-value
@@ -1606,7 +1607,7 @@ class TestStateTable:
         x = Element.from_blocks([random_complex(16, np.random.default_rng(16))])
         path = tmp_path / "x16.json"
         path.write_text(json.dumps(documents.element_to_doc(x)))
-        calls = _count_linalg(monkeypatch, "svd", "lstsq")
+        calls = count_linalg(monkeypatch, "svd", "lstsq")
         with redirect_stdout(io.StringIO()):
             assert main(["adjoint", str(path), "--unit"]) == 0
         assert calls == Counter()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_hermitian
+from conftest import random_complex, random_hermitian, same_bits, stack_corpus
 from opgeo import linalg
 from opgeo.errors import LinalgError
 
@@ -134,6 +134,52 @@ class TestNorms:
     def test_trace_dominates_operator(self, seed, n):
         a = random_complex(n, np.random.default_rng(seed))
         assert linalg.trace_norm(a) >= linalg.operator_norm(a) - 1e-12
+
+
+STACK_DIMS = (1, 2, 3, 4, 6, 8, 16, 32, 64)
+
+
+class TestStacks:
+    """The stacked kernels give what separate calls give, bit for bit: the
+    gufunc behind a stacked numpy.linalg call runs LAPACK on each matrix."""
+
+    @pytest.mark.parametrize("n", STACK_DIMS)
+    def test_svd_stack_matches_separate_calls(self, n):
+        mats = stack_corpus(n, np.random.default_rng(n)) + stack_corpus(n, np.random.default_rng(n + 100))
+        results = linalg.svd_stack(np.stack(mats))
+        assert len(results) == len(mats)
+        for m, res in zip(mats, results):
+            alone = linalg.svd(m)
+            assert same_bits(res.left, alone.left)
+            assert same_bits(res.singular_values, alone.singular_values)
+            assert same_bits(res.right, alone.right)
+
+    @pytest.mark.parametrize(
+        "dims", [(n,) for n in STACK_DIMS] + [(2, 3), (16, 16)], ids=lambda d: "+".join(f"M{n}" for n in d)
+    )
+    def test_direct_sum_norms_match_separate_calls(self, dims):
+        # element j's blocks are the j-th matrices of the corpora; the zero
+        # and rank-deficient ones meet on some elements and not on others
+        rng = np.random.default_rng(sum(dims))
+        corpora = [stack_corpus(n, rng) + stack_corpus(n, rng)[::-1] for n in dims]
+        norms = linalg.direct_sum_norms([np.stack(c) for c in corpora])
+        assert norms.shape == (len(corpora[0]),)
+        for j, nrm in enumerate(norms):
+            assert same_bits(nrm, linalg.direct_sum_norm(c[j] for c in corpora))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "inf-imag"])
+    @pytest.mark.parametrize("kernel", ["svd_stack", "direct_sum_norms"])
+    def test_non_finite_stack_raises_before_lapack(self, capfd, kernel, entry):
+        stack = np.stack(stack_corpus(3, np.random.default_rng(0)))
+        stack[1, 2, 0] = entry
+        call = {"svd_stack": lambda: linalg.svd_stack(stack), "direct_sum_norms": lambda: linalg.direct_sum_norms([stack])}
+        with pytest.raises(LinalgError, match="^matrix has non-finite entries$"):
+            call[kernel]()
+        assert "DLASCL" not in capfd.readouterr().err
+
+    def test_svd_stack_rejects_a_single_matrix(self):
+        with pytest.raises(LinalgError, match="stack"):
+            linalg.svd_stack(np.eye(2))
 
 
 class TestPolar:

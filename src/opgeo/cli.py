@@ -69,11 +69,7 @@ def _unit_requested(args, doc) -> bool:
 def cmd_classify(args) -> int:
     x, doc, raw = documents.load_element(args.input)
     tol = args.tolerances
-    kinds = documents.evidence_kinds()
-    verdicts = [
-        documents.not_applicable_doc(name, v) if isinstance(v, str) else documents.verdict_to_doc(v, kinds)
-        for name, v in classify_all(x, unit=_unit_requested(args, doc), tol=tol).items()
-    ]
+    verdicts = documents.report_verdicts(classify_all(x, unit=_unit_requested(args, doc), tol=tol))
     report = {
         "tool": "opgeo",
         "version": opgeo.__version__,

@@ -7,7 +7,9 @@ Every document is written exactly as `json.dumps(obj, sort_keys=True,
 indent=2)` writes it, byte for byte.  The stdlib's C encoder runs only
 without `indent`, so `dumps` walks the value itself, with one special case:
 a matrix block, a non-empty list of [re, im] pairs of finite floats, is
-written with one `str.format` per pair.  Every other scalar is written as
+written by one `%`-format of a template with a `%r` slot per float, and a
+block list met twice in one call, as the witness shared by two verdicts of
+a report, is formatted once.  Every other scalar is written as
 the stdlib writes it: strings, finite floats, ints, true, false and null
 directly, the rest by json.dumps.  A document nested too deep to decode raises
 DocumentError, which the command line reports with exit code 2.
@@ -15,7 +17,8 @@ DocumentError, which the command line reports with exit code 2.
 The kinds of checkable evidence, the partial-isometry witness and the
 invertibility certificate, are one table, `evidence_kinds`: `certify` reads
 its builder, verifier, codec and messages there, and `verdict_to_doc`
-encodes the evidence objects of a verdict through it.
+encodes the evidence objects of a verdict through it; `report_verdicts`
+encodes an object that two verdicts of one report hold once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable
 
@@ -50,26 +53,29 @@ def _block_text(pairs, nl: str) -> str | None:
     finite floats, whose closing bracket follows nl; None for any other list."""
     if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
         return None
-    flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+    flat = tuple(chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float}:
         return None
     inner = nl + "  "
     entry = inner + "  "
-    pair = "[" + entry + "{}," + entry + "{}" + inner + "]"
-    reprs = list(map(float.__repr__, flat))
-    return "[" + inner + ("," + inner).join(map(pair.format, reprs[0::2], reprs[1::2])) + nl + "]"
+    pair = "[" + entry + "%r," + entry + "%r" + inner + "]"
+    text = ("[" + inner + ("," + inner).join([pair] * len(pairs)) + nl + "]") % flat
+    # a template holds brackets, commas and whitespace, and a finite float's
+    # repr digits, ".", "e" and signs: an "n" is the repr of nan or inf
+    return None if "n" in text else text
 
 
 #: the stdlib's escaping of a string, as json.dumps applies it to keys and values
 _string_text = json.encoder.encode_basestring_ascii
 
 
-def _leaf_text(value, nl: str) -> str | None:
+def _leaf_text(value, nl: str, blocks: dict) -> str | None:
     """The text of a value that dumps does not walk into, or None for a
     container it walks: a non-empty dict, or a non-empty list that is no
     block.  A scalar's text is the stdlib's: the repr of a finite float or
     an int, the stdlib's escaping of a string, true, false and null, and
-    json.dumps of any other."""
+    json.dumps of any other.  blocks maps (id, nl) of each list already
+    met in this call to its block text or None."""
     if type(value) is float and math.isfinite(value):
         return float.__repr__(value)
     if type(value) is str:
@@ -81,7 +87,10 @@ def _leaf_text(value, nl: str) -> str | None:
     if type(value) is int:
         return int.__repr__(value)
     if isinstance(value, (list, tuple)) and value:
-        return _block_text(value, nl)
+        key = (id(value), nl)
+        if key not in blocks:
+            blocks[key] = _block_text(value, nl)
+        return blocks[key]
     if isinstance(value, dict) and value:
         return None
     return json.dumps(value)
@@ -105,13 +114,15 @@ def _walk(value, nl: str) -> tuple:
 def dumps(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for an
     acyclic JSON value with str keys, nested to any depth: the walk keeps
-    its own stack."""
+    its own stack.  A list met again at the same indent reuses its text;
+    obj holds every list it walks, so no id is reused during the call."""
     out = []
+    blocks = {}
     stack = [(iter([("", obj)]), "\n", "")]
     while stack:
         entries, nl, close = stack[-1]
         for prefix, value in entries:
-            text = _leaf_text(value, nl)
+            text = _leaf_text(value, nl, blocks)
             if text is None:
                 out.append(prefix)
                 stack.append(_walk(value, nl))
@@ -318,3 +329,26 @@ def verdict_to_doc(v: Verdict, kinds: dict[str, EvidenceKind] | None = None) -> 
 
 def not_applicable_doc(predicate: str, reason: str) -> dict:
     return {"predicate": predicate, "status": "not-applicable", "reason": reason}
+
+
+def report_verdicts(verdicts: dict) -> list[dict]:
+    """The verdict list of a classify report from classify_all's verdicts,
+    each a Verdict or the reason it does not apply.  An evidence object two
+    verdicts hold, as the witness of partial_isometry and extreme_point, is
+    encoded once: both documents hold one dict, which dumps writes once."""
+    memo = {}
+
+    def once(to_doc):
+        def encode(obj):
+            # the memo holds obj, so its id is not reused during the report
+            if id(obj) not in memo:
+                memo[id(obj)] = (obj, to_doc(obj))
+            return memo[id(obj)][1]
+
+        return encode
+
+    kinds = {name: replace(kind, to_doc=once(kind.to_doc)) for name, kind in evidence_kinds().items()}
+    return [
+        not_applicable_doc(name, v) if isinstance(v, str) else verdict_to_doc(v, kinds)
+        for name, v in verdicts.items()
+    ]

@@ -25,7 +25,7 @@ import opgeo
 from opgeo import documents
 from opgeo.algebra import AlgebraShape, Element
 from opgeo.cli import main
-from opgeo.generators import gen_norm_one_non_pi
+from opgeo.generators import gen_norm_one_non_pi, gen_partial_isometry, gen_unitary
 
 
 def stdlib_text(value) -> str:
@@ -101,10 +101,80 @@ def test_dumps_edge_values(value):
 
 
 # ---------------------------------------------------------------------------
+# byte identity on values that reuse sub-objects: dumps keeps the text of a
+# block list for the length of one call, keyed by the list's id and indent
+
+#: the objects one value reuses: blocks, near-blocks, dicts holding them and
+#: lists of scalars
+shared_objects = st.one_of(
+    pair_lists,
+    st.dictionaries(st.text(max_size=3), pair_lists, min_size=1, max_size=3),
+    st.lists(st.one_of(scalars, pair_lists), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def aliased_values(draw):
+    """A value whose leaves are drawn, as the same objects, from a pool of
+    one to three; the first of them is also at two keys of the top level
+    and at depth three."""
+    pool = draw(st.lists(shared_objects, min_size=1, max_size=3))
+
+    def nest(inner):
+        return st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3))
+
+    tree = draw(st.recursive(st.sampled_from(pool), nest, max_leaves=12))
+    return {"a": pool[0], "b": pool[0], "c": [{"d": pool[0]}, tree]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(aliased_values())
+def test_dumps_is_the_stdlib_text_on_shared_objects(value):
+    assert documents.dumps(value) == stdlib_text(value)
+
+
+_SHARED_BLOCK = [[1.0, -2.5], [0.125, 3.0]]
+_SHARED_DICT = {"y": _SHARED_BLOCK, "b": 0.5}
+_SHARED_LIST = [1.0, [2.0, 3.0], "x"]
+_SPECIAL_BLOCK = [[-0.0, 5e-324], [1e16, -1e16], [-5e-324, 0.0]]
+_NAN_BLOCK = [[math.nan, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": _SHARED_BLOCK, "b": {"c": {"d": _SHARED_BLOCK}}},
+        {"a": _SHARED_BLOCK, "b": _SHARED_BLOCK, "c": [_SHARED_BLOCK, [_SHARED_BLOCK]]},
+        {"p": _SHARED_DICT, "q": [_SHARED_DICT], "r": {"s": _SHARED_DICT}},
+        {"a": _SHARED_LIST, "b": _SHARED_LIST, "c": [_SHARED_LIST]},
+        {"a": _SPECIAL_BLOCK, "b": {"c": {"d": _SPECIAL_BLOCK}}, "e": _SPECIAL_BLOCK},
+        {"a": _NAN_BLOCK, "b": [_NAN_BLOCK], "c": _NAN_BLOCK},
+        [_SHARED_BLOCK, _SHARED_BLOCK],
+    ],
+    ids=[
+        "indents-2-and-6", "one-depth-and-two", "dict-holding-a-block", "non-block-list", "special-floats", "nan",
+        "top-level-list",
+    ],
+)
+def test_dumps_shared_objects(value):
+    assert documents.dumps(value) == stdlib_text(value)
+
+
+def test_blocks_of_100_sizes():
+    # each block is one %-format of a template with a slot per float
+    for count in range(1, 101):
+        block = [[float(k) / 7.0, -float(count)] for k in range(count)]
+        assert documents.dumps({"b": block}) == stdlib_text({"b": block})
+
+
+# ---------------------------------------------------------------------------
 # byte identity on every document the command line prints
 
 
-@pytest.mark.parametrize("dims", [(2,), (2, 3), (32,)], ids=["M2", "M2+M3", "M32"])
+@pytest.mark.parametrize(
+    "dims", [(2,), (2, 3), (32,), (64,), (16, 16)], ids=["M2", "M2+M3", "M32", "M64", "M16+M16"]
+)
 def test_every_document_kind_is_the_stdlib_text(tmp_path, monkeypatch, dims):
     x = gen_norm_one_non_pi(AlgebraShape(dims), np.random.default_rng(sum(dims)))
     xpath = tmp_path / "x.json"
@@ -124,12 +194,70 @@ def test_every_document_kind_is_the_stdlib_text(tmp_path, monkeypatch, dims):
     report = printed("classify", str(xpath), "--unit")
     assert '"type": "partial-isometry-witness"' in report
     assert '"type": "invertibility-certificate"' in report
+    # partial_isometry and extreme_point hold one witness, written once and printed twice
+    evidence = {v["predicate"]: v["evidence"] for v in json.loads(report)["verdicts"]}
+    assert evidence["partial_isometry"]["witness"] == evidence["extreme_point"]["witness"]
     for predicate, evidence in (("partial-isometry", "w.json"), ("invertible", "c.json")):
         printed("certify", str(xpath), "--predicate", predicate, emits=evidence)
         verified = printed("certify", str(xpath), "--predicate", predicate, "--verify", str(tmp_path / evidence))
         assert json.loads(verified)["verified"] is True
-    printed("adjoint", str(xpath), "--unit")
+    star = documents.element_from_doc(json.loads(printed("adjoint", str(xpath), "--unit")))
+    assert star.shape == x.shape
     assert len(written) == 6
+
+
+def _blocks_formatted(monkeypatch) -> list:
+    """Record the length, in pairs, of each block `dumps` formats."""
+    formatted = []
+    block_text = documents._block_text
+
+    def counted(pairs, nl):
+        text = block_text(pairs, nl)
+        if text is not None:
+            formatted.append(len(pairs))
+        return text
+
+    monkeypatch.setattr(documents, "_block_text", counted)
+    return formatted
+
+
+_DRAWS = {
+    "nonpi": gen_norm_one_non_pi,
+    "pi": lambda shape, rng: gen_partial_isometry(shape, tuple(n // 2 for n in shape.block_dims), rng),
+    "unitary": gen_unitary,
+}
+
+
+# Budget history: each classify report wrote the witness y twice, once in
+# the partial_isometry verdict and once in extreme_point, which hold one
+# witness object (3 blocks formatted at M6, 6 at M2+M3).  The verdicts of a
+# report now share one encoder memo and dumps formats a block list once per
+# call: y and the certificate's u once each.
+@pytest.mark.parametrize(
+    ("cls", "dims", "budget"),
+    [("nonpi", (6,), 2), ("nonpi", (2, 3), 4), ("pi", (6,), 0), ("unitary", (6,), 1)],
+    ids=["nonpi-M6", "nonpi-M2+M3", "pi-M6", "unitary-M6"],
+)
+def test_classify_formats_each_block_once(tmp_path, monkeypatch, cls, dims, budget):
+    x = _DRAWS[cls](AlgebraShape(dims), np.random.default_rng(3))
+    xpath = tmp_path / "x.json"
+    xpath.write_text(json.dumps(documents.element_to_doc(x)))
+    formatted = _blocks_formatted(monkeypatch)
+    code, out, err = run_cli("classify", str(xpath), "--unit")
+    assert (code, err) == (0, "")
+    assert out == stdlib_text(json.loads(out)) + "\n"
+    assert len(formatted) == budget
+
+
+@pytest.mark.parametrize("predicate", ["partial-isometry", "invertible"])
+def test_certify_emit_formats_one_block(tmp_path, monkeypatch, predicate):
+    x = gen_norm_one_non_pi(AlgebraShape((6,)), np.random.default_rng(3))
+    xpath = tmp_path / "x.json"
+    xpath.write_text(json.dumps(documents.element_to_doc(x)))
+    formatted = _blocks_formatted(monkeypatch)
+    code, out, err = run_cli("certify", str(xpath), "--predicate", predicate)
+    assert (code, err) == (0, "")
+    assert formatted == [36]
 
 
 def test_label_nested_950_deep(tmp_path):

@@ -347,10 +347,10 @@ def min_real_over_norming(
     """
     if u.shape != x.shape:
         raise ShapeMismatchError("unitary and element shapes differ")
-    dev = linalg.direct_sum_norm(b.conj().T @ b - np.eye(b.shape[0]) for b in u.blocks)
+    dev = linalg.unitary_residual(u.blocks)
     if dev > tol.equality:
         raise PreconditionError(f"u is not unitary: ||u*u - 1|| = {dev:.3e}")
     products = [xb @ ub.conj().T for xb, ub in zip(x.blocks, u.blocks)]
     resid = linalg.direct_sum_norm(m - m.conj().T for m in products)
-    value = min(float(np.linalg.eigvalsh(0.5 * m + 0.5 * m.conj().T)[0]) for m in products)  # halves first
+    value = min(float(linalg.hermitian_eigvals(m)[0]) for m in products)
     return NormingMinimum(value=value, hermitian_residual=resid)

@@ -139,10 +139,7 @@ def _grid_norms(xs, ys, bs) -> np.ndarray:
     """||x + b y|| for every b in the flat sequence of scalars bs, x and y
     given as one array per block of one algebra, one stacked SVD per block."""
     bs = np.asarray(bs, dtype=np.complex128)[:, None, None]
-    norms = np.zeros(bs.shape[0])
-    for xb, yb in zip(xs, ys):
-        norms = np.maximum(norms, linalg.singular_values(xb[None, :, :] + bs * yb[None, :, :])[:, 0])
-    return norms
+    return linalg.direct_sum_norms([xb[None, :, :] + bs * yb[None, :, :] for xb, yb in zip(xs, ys)])
 
 
 def _unit(b: np.ndarray) -> np.ndarray:
@@ -269,7 +266,7 @@ def _in_face(face: NormingSetDescription, ys) -> list[bool]:
             yb = np.stack([y.blocks[i] for y in ys])
             pairs = np.stack([yb @ v, yb.conj().transpose(0, 2, 1) @ w], axis=1)  # ||W_J* y|| = ||y* W_J||
             deviation = np.maximum(deviation, linalg.singular_values(pairs)[:, :, 0].max(axis=1))
-    return ((norms <= _NEGLIGIBLE) | (deviation <= _MEMBER_TOL * norms)).tolist()
+    return (deviation <= _MEMBER_TOL * norms).tolist()
 
 
 def x2_deviation(x: Element, y: Element) -> float:
@@ -512,12 +509,7 @@ def is_unitary_algebraic(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) ->
     """x*x = xx* = 1 within tol.classification, from one norm: on square
     blocks x*x and xx* have the same eigenvalues sigma^2, so
     ||xx* - 1|| = ||x*x - 1|| = max |sigma^2 - 1|."""
-    return _unitary_residual(x.blocks) <= tol.classification
-
-
-def _unitary_residual(blocks) -> float:
-    """max_i ||b_i* b_i - 1|| over the arrays b_i."""
-    return linalg.direct_sum_norm(b.conj().T @ b - _unit(b) for b in blocks)
+    return linalg.unitary_residual(x.blocks) <= tol.classification
 
 
 def is_unitary_geometric(x: Element, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -667,7 +659,7 @@ def verify_certificate(
         raise MalformedCertificateError(f"epsilon must be positive, got {cert.epsilon!r}")
     if cert.u.shape != x.shape:
         raise MalformedCertificateError("certificate unitary has mismatched block structure")
-    d = _unitary_residual(cert.u.blocks)
+    d = linalg.unitary_residual(cert.u.blocks)
     t = 1.0 / x.norm if x.norm > 0.0 else 0.0  # 1/||x|| overflows to inf below ~1e-308
     gap = t * (cert.epsilon - tol.equality)
     if d > tol.equality or not _NORM_ROUNDING < gap < np.inf:
@@ -837,10 +829,10 @@ def _positive_verdict(x: Element, herm_dev: float, spanning: list[np.ndarray], t
     lam_min = min_re = np.inf
     max_im = 0.0
     for b, span in zip(x.blocks, spanning):
-        eigvals, h_states = np.linalg.eigh(0.5 * (b + b.conj().T))
-        lam_min = min(lam_min, float(eigvals[0]))
-        _, k_states = np.linalg.eigh(-0.5j * (b - b.conj().T))
-        vals = np.concatenate([span, _state_values(b, np.concatenate([h_states, k_states], axis=1))])
+        h = linalg.hermitian_eig(b)
+        lam_min = min(lam_min, float(h.eigenvalues[0]))
+        k_states = linalg.hermitian_eig(-1j * b).eigenvectors  # the Hermitian part of -ib is K
+        vals = np.concatenate([span, _state_values(b, np.concatenate([h.eigenvectors, k_states], axis=1))])
         min_re = min(min_re, float(vals.real.min()))
         max_im = max(max_im, float(np.abs(vals.imag).max()))
     spectral = herm_dev <= tol.classification and lam_min >= -tol.equality
@@ -878,7 +870,7 @@ def _projection_verdict(x: Element, pi: bool, herm_dev: float, pos: Verdict, tol
     oracle = linalg.direct_sum_norm(b @ b - b for b in x.blocks) <= cut and herm_dev <= cut
     pi_and_positive = pi and pos.algebraic and pos.geometric
     v = [complex(2.0) * b - _unit(b) for b in x.blocks]  # before the cut: an overflow of 2x raises here
-    symmetry = 2.0 * herm_dev <= cut and _unitary_residual(v) <= cut
+    symmetry = 2.0 * herm_dev <= cut and linalg.unitary_residual(v) <= cut
     evidence = {
         "conditions": {
             "idempotent_hermitian": oracle,

@@ -2,9 +2,10 @@
 
 Everything here operates on plain ``numpy`` complex matrices at desk scale
 (n <= ~64).  All outputs are freshly allocated; nothing mutates its input.
-Every kernel rejects an input that is not finite with LinalgError before
-LAPACK sees it, so an overflow that the caller's errstate let through
-neither prints a LAPACK error nor carries nan into a decision.
+Every eigensolve and SVD of opgeo passes through this module.  Every
+kernel rejects an input that is not finite with LinalgError before LAPACK
+sees it, so an overflow that the caller's errstate let through neither
+prints a LAPACK error nor carries nan into a decision.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from functools import reduce
 import numpy as np
 
 from opgeo.errors import LinalgError
-
-#: relative ||A - A*|| up to which an input counts as Hermitian
-HERMITIAN_RESIDUAL_BOUND = 1e-9
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -37,11 +35,6 @@ def as_matrix(a) -> np.ndarray:
 def _require_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
-
-
-def hermitian_residual(a: np.ndarray) -> float:
-    """Operator norm of A - A*."""
-    return operator_norm(a - a.conj().T)
 
 
 @dataclass(frozen=True)
@@ -87,22 +80,31 @@ class PolarDecomposition:
     isometry: np.ndarray
 
 
-def hermitian_eig(a, tol: float = HERMITIAN_RESIDUAL_BOUND) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Rejects non-square or non-Hermitian input (relative tolerance `tol`).
-    """
+def _hermitian_part(a) -> np.ndarray:
+    """(A + A*)/2 of a square matrix, formed halves first, so no entry of a
+    finite A overflows.  It has the bits of numpy's 0.5 * (A + A*) wherever
+    that sum neither overflows nor goes subnormal, signed zeros included.
+    On a Hermitian A it is A; the Hermitian part of -iA is the skew part
+    (A - A*)/2i."""
     m = as_matrix(a)
     _require_square(m)
-    scale = max(1.0, operator_norm(m))
-    resid = hermitian_residual(m)
-    if resid > tol * scale:
-        raise LinalgError(
-            f"matrix is not Hermitian: ||A - A*|| = {resid:.3e} exceeds {tol:.1e}*max(1,||A||)"
-        )
-    h = 0.5 * m + 0.5 * m.conj().T  # halves first: no overflow
-    w, u = np.linalg.eigh(h)
+    m.real *= 0.5  # exact, part by part: 0.5 * m would sign some zeros anew
+    m.imag *= 0.5
+    return 1.0 * (m + m.conj().T)  # the complex product signs zeros as 0.5 * (A + A*) does
+
+
+def hermitian_eig(a) -> SpectralDecomposition:
+    """Eigendecomposition of the Hermitian part (A + A*)/2 of a square
+    matrix (`_hermitian_part`), eigenvalues ascending."""
+    w, u = np.linalg.eigh(_hermitian_part(a))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
+
+
+def hermitian_eigvals(a) -> np.ndarray:
+    """The eigenvalues of `hermitian_eig`, ascending, from LAPACK's
+    values-only routine: they may differ from `hermitian_eig`'s in the last
+    bits."""
+    return np.linalg.eigvalsh(_hermitian_part(a))
 
 
 def svd(a) -> SVDResult:
@@ -163,6 +165,11 @@ def direct_sum_norms(stacks) -> np.ndarray:
     return reduce(np.maximum, (singular_values(s)[:, 0] for s in stacks))
 
 
+def unitary_residual(blocks) -> float:
+    """max_i ||b_i* b_i - 1|| over the square arrays b_i."""
+    return direct_sum_norm(b.conj().T @ b - np.eye(b.shape[0]) for b in blocks)
+
+
 def polar(a, side: str = "left") -> PolarDecomposition:
     """Polar decomposition of a square matrix with a unitary isometry factor.
 
@@ -186,12 +193,13 @@ def polar(a, side: str = "left") -> PolarDecomposition:
     return PolarDecomposition(side=side, absolute=absolute, isometry=u)
 
 
-def apply_function_hermitian(a, fn, tol: float = HERMITIAN_RESIDUAL_BOUND) -> np.ndarray:
-    """Functional calculus: U diag(fn(lambda_i)) U* for Hermitian A.
+def apply_function_hermitian(a, fn) -> np.ndarray:
+    """Functional calculus: U diag(fn(lambda_i)) U* on the Hermitian part
+    of A, decomposed by `hermitian_eig`.
 
     `fn` is sampled on the spectrum; it may be scalar or vectorized.
     """
-    dec = hermitian_eig(a, tol=tol)
+    dec = hermitian_eig(a)
     vals = np.asarray([fn(float(ev)) for ev in dec.eigenvalues], dtype=np.complex128)
     u = dec.eigenvectors
     out = (u * vals) @ u.conj().T

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import count_linalg, diag_element, random_complex, random_hermitian
+from conftest import count_linalg, diag_element, random_complex, random_hermitian, same_bits
 from opgeo import algebra, classify, documents, linalg
 from opgeo.algebra import (
     AlgebraShape,
@@ -417,12 +417,13 @@ class TestX1Member:
         assert True in answers and False in answers
 
     @pytest.mark.parametrize("deviation", [2e-8, 5e-7])
-    @pytest.mark.parametrize("c", [1e-3, 1e3, 1j], ids=["1e-3", "1e3", "i"])
+    @pytest.mark.parametrize("c", [1e-3, 1e3, 1j, 1e-13, 1e-200], ids=["1e-3", "1e3", "i", "1e-13", "1e-200"])
     def test_scaling_y_keeps_the_answer(self, c, deviation):
         # X1 is a cone, so the face test holds max(||y V_J||, ||W_J* y||)
         # against 1e-7 ||y||.  In M2+M3, y leaves the unit frame of x only
         # by `deviation` ||y||, within a decade of the cut on either side,
-        # where an absolute 1e-7 would flip the answer at c = 1e-3 or 1e3
+        # where an absolute 1e-7 would flip the answer at c = 1e-3 or 1e3,
+        # and an absolute zero test on ||y|| at c = 1e-13 or 1e-200
         x = diag_element([1.0, 0.5], [0.3, 1.0, 0.2])
         y = Element.from_blocks([np.array([[0.0, deviation], [0.0, 1.0]]), np.diag([0.5, 0.0, 0.7])])
         assert x1_member(x, y) is (deviation < 1e-7)
@@ -1686,6 +1687,55 @@ class TestPositive:
             # ||x - x*|| = 4e-8 passes the spectral oracle's classification cut
             assert v.evidence["conditions"]["spectral"] is True
             assert v.evidence["unanimous"] is False
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (6,), (2, 3), (16,)], ids=lambda d: "+".join(f"M{n}" for n in d))
+    def test_evidence_reads_the_eigenstates_of_h_and_k(self, dims):
+        # the spellings H = 0.5 (x + x*) and K = -0.5i (x - x*) of numpy,
+        # which overflow at the largest floats, give the same bits
+        rng = np.random.default_rng(sum(dims))
+        draws = [
+            [random_complex(n, rng) for n in dims],
+            [random_hermitian(n, rng) for n in dims],
+            [np.diag(rng.choice([0.0, 1.0, 0.5], size=n)).astype(np.complex128) for n in dims],
+        ]
+        for blocks in draws:
+            x = Element.from_blocks(blocks)
+            lam_min, min_re, max_im = np.inf, np.inf, 0.0
+            for b in x.blocks:
+                w, h_states = np.linalg.eigh(0.5 * (b + b.conj().T))
+                _, k_states = np.linalg.eigh(-0.5j * (b - b.conj().T))
+                vals = np.concatenate(
+                    [classify._spanning_values(b), classify._state_values(b, np.hstack([h_states, k_states]))]
+                )
+                lam_min, min_re = min(lam_min, float(w[0])), min(min_re, float(vals.real.min()))
+                max_im = max(max_im, float(np.abs(vals.imag).max()))
+            ev = is_positive(x).evidence
+            assert same_bits(
+                [ev["lambda_min"], ev["state_min_real"], ev["state_max_imag"]], [lam_min, min_re, max_im]
+            )
+
+    @pytest.mark.parametrize(
+        ("block", "positive", "lambda_min"),
+        [(np.eye(3), True, 1.0), (np.array([[1.0, 1.0], [0.0, 1.0]]), False, 0.5)],
+        ids=["1e308*I3", "1e308-M2-non-hermitian"],
+    )
+    def test_largest_floats_keep_their_verdict(self, block, positive, lambda_min):
+        # the spectral route once formed x + x*, which overflows here, and
+        # LAPACK then solved an infinite matrix: lambda_min read inf
+        x = Element.from_blocks([1e308 * block])
+        with np.errstate(over="raise", invalid="raise"):
+            v = is_positive(x)
+        assert v.algebraic is v.geometric is positive
+        assert is_positive(x).evidence["lambda_min"] == pytest.approx(lambda_min * 1e308, rel=1e-15)
+
+    def test_classify_unit_at_the_largest_floats_exits_2(self, tmp_path):
+        # classify --unit still overflows at 1e308 * 1 in M3, in x x* x
+        path = tmp_path / "x.json"
+        path.write_text(documents.dumps(documents.element_to_doc(Element.from_blocks([1e308 * np.eye(3)]))))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["classify", str(path), "--unit"]) == 2
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize(("eps", "shift_ok"), [(1e-9, True), (1e-7, False)])
     def test_norm_shift_slack_is_equality(self, eps, shift_ok):

@@ -21,6 +21,28 @@ class TestAsMatrix:
             linalg.as_matrix(m)
 
 
+HERMITIAN_DIMS = (1, 2, 3, 6, 16, 32)
+
+
+def hermitian_corpus(n: int, rng: np.random.Generator, zeros=(0.0, -0.0)) -> list[np.ndarray]:
+    """n x n inputs for hermitian_eig: the stack corpus, a Hermitian and a
+    skew-Hermitian matrix, and Gaussian matrices with about a third of their
+    real and of their imaginary parts set to a zero drawn from `zeros`.  At
+    n = 2 also a matrix whose lower entry of A + A* is -0 - i, which
+    0.5 * (A + A*) turns into +0 - 0.5i: the sign LAPACK's reflector reads."""
+    h = random_hermitian(n, rng)
+    zeroed = []
+    for _ in range(3):
+        parts = np.stack([random_complex(n, rng).real, random_complex(n, rng).imag], axis=-1)
+        mask = rng.random(parts.shape) < 1 / 3
+        parts[mask] = rng.choice(zeros, size=mask.sum())
+        g = np.empty((n, n), dtype=np.complex128)
+        g.real, g.imag = parts[..., 0], parts[..., 1]
+        zeroed.append(g)
+    signed = [np.array([[0.0, complex(-0.0, 0.0)], [complex(-0.0, -1.0), 0.0]])] if n == 2 else []
+    return stack_corpus(n, rng) + [h, 1j * h] + zeroed + signed
+
+
 class TestHermitianEig:
     def test_identity(self):
         dec = linalg.hermitian_eig(np.eye(3))
@@ -42,28 +64,57 @@ class TestHermitianEig:
         with pytest.raises(LinalgError, match="square"):
             linalg.hermitian_eig(np.zeros((2, 3)))
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(LinalgError, match="Hermitian"):
-            linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_rejects_non_finite(self):
         with pytest.raises(LinalgError, match="finite"):
             linalg.hermitian_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
-    def test_overflowing_residual_raises_before_lapack(self, capfd):
-        # A - A* overflows; the residual check once measured nan, which no
-        # cut rejects, and returned nan eigenvalues
-        a = np.array([[1.7e308, -1.7e308], [1.7e308, 0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(LinalgError, match="^matrix has non-finite entries$"):
-                linalg.hermitian_eig(a)
+    @pytest.mark.parametrize("entry", [np.nan, complex(0.0, -np.inf)], ids=["nan", "inf-imag"])
+    @pytest.mark.parametrize("kernel", ["hermitian_eig", "hermitian_eigvals"])
+    def test_non_finite_raises_before_lapack(self, capfd, kernel, entry):
+        a = np.eye(3, dtype=np.complex128)
+        a[2, 0] = entry
+        with pytest.raises(LinalgError, match="^matrix has non-finite entries$"):
+            getattr(linalg, kernel)(a)
         assert "DLASCL" not in capfd.readouterr().err
+
+    def test_values_only_kernel_rejects_non_square(self):
+        with pytest.raises(LinalgError, match="square"):
+            linalg.hermitian_eigvals(np.zeros((2, 3)))
 
     def test_largest_floats_keep_their_eigenvalues(self):
         # A + A* overflows on diag(1e308, 1), (A + A*)/2 does not
         with np.errstate(over="raise"):
             dec = linalg.hermitian_eig(np.diag([1e308, 1.0]))
         np.testing.assert_array_equal(dec.eigenvalues, [1.0, 1e308])
+
+    def test_largest_floats_of_a_non_hermitian_input(self):
+        # A + A* and A - A* overflow here; the halves-first Hermitian part
+        # [[1.7e308, 0], [0, 0]] does not
+        a = np.array([[1.7e308, -1.7e308], [1.7e308, 0.0]])
+        with np.errstate(over="raise", invalid="raise"):
+            dec = linalg.hermitian_eig(a)
+            values = linalg.hermitian_eigvals(a)
+        np.testing.assert_array_equal(dec.eigenvalues, [0.0, 1.7e308])
+        np.testing.assert_array_equal(values, [0.0, 1.7e308])
+
+    @pytest.mark.parametrize("n", HERMITIAN_DIMS)
+    def test_decomposes_the_hermitian_part(self, n):
+        # the bits of eigh(0.5 * (A + A*)), signed zeros of A included
+        for a in hermitian_corpus(n, np.random.default_rng(n)):
+            dec = linalg.hermitian_eig(a)
+            w, u = np.linalg.eigh(0.5 * (a + a.conj().T))
+            assert same_bits(dec.eigenvalues, w) and same_bits(dec.eigenvectors, u)
+            assert same_bits(linalg.hermitian_eigvals(a), np.linalg.eigvalsh(0.5 * (a + a.conj().T)))
+
+    @pytest.mark.parametrize("n", HERMITIAN_DIMS)
+    def test_skew_part_through_minus_i(self, n):
+        # the Hermitian part of -iA is the skew part, with the bits of
+        # eigh(-0.5j * (A - A*)); a -0 part of A is left out, since the
+        # product by -0.5j signs the zeros of that spelling its own way
+        for a in hermitian_corpus(n, np.random.default_rng(n + 100), zeros=(0.0,)):
+            dec = linalg.hermitian_eig(-1j * a)
+            w, u = np.linalg.eigh(-0.5j * (a - a.conj().T))
+            assert same_bits(dec.eigenvalues, w) and same_bits(dec.eigenvectors, u)
 
 
 class TestSVD:
@@ -245,11 +296,8 @@ class TestFunctionalCalculus:
         psi = lambda s: s * s * s + 0.5 * s
         direct = linalg.apply_function_hermitian(a, lambda s: phi(psi(s)))
         staged = linalg.apply_function_hermitian(
-            linalg.apply_function_hermitian(a, psi), phi, tol=1e-6
+            linalg.apply_function_hermitian(a, psi), phi
         )
         scale = max(1.0, linalg.operator_norm(direct))
         assert linalg.operator_norm(direct - staged) <= 1e-9 * scale
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(LinalgError, match="Hermitian"):
-            linalg.apply_function_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), lambda s: s)

@@ -22,6 +22,11 @@ SETTINGS_ALLOWED = {
     ("norming_annihilates_defect", "rng"): "harness T2P samples from its per-trial stream",
 }
 
+#: numpy.linalg calls outside opgeo.linalg, each with its reason
+LINALG_CALLS_ALLOWED = {
+    ("generators.py", "qr"): "a Haar draw, not a measurement: it reads no norm or spectrum of an operand",
+}
+
 #: float tolerances a public function may take, each with its reason
 FLOAT_TOLERANCES_ALLOWED = {
     ("numeric_span_rank", "tol"): "a rank cut relative to σ_max; acceptance criterion 3 passes it",
@@ -139,3 +144,48 @@ def test_generators_import_nothing_from_classify():
     imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
     imported += [f"{n.module}.{a.name}" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
     assert [name for name in imported if name.startswith("opgeo.classify")] == []
+
+
+def _numpy_linalg_uses(tree: ast.Module):
+    """(line, name) of each numpy.linalg attribute a module reads, whether
+    through `np.linalg.name` or `numpy.linalg.name`, and of each import of
+    numpy.linalg or of a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            inner = node.value
+            if inner.attr == "linalg" and isinstance(inner.value, ast.Name) and inner.value.id in ("np", "numpy"):
+                yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            for a in node.names:
+                if node.module == "numpy.linalg" or a.name == "linalg":
+                    yield node.lineno, a.name
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names if a.name == "numpy.linalg")
+
+
+def test_numpy_linalg_is_called_from_opgeo_linalg_alone():
+    # every eigensolve and SVD passes the finiteness and shape guards of
+    # opgeo.linalg; a docstring that names numpy.linalg is not a call
+    offending, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for lineno, name in _numpy_linalg_uses(ast.parse(path.read_text())):
+            if (path.name, name) in LINALG_CALLS_ALLOWED:
+                used.add((path.name, name))
+            else:
+                offending.append(f"{path.name}:{lineno}: {name}")
+    assert offending == []
+    assert used == set(LINALG_CALLS_ALLOWED)
+
+
+def test_linalg_scan_flags_each_spelling():
+    tree = ast.parse(
+        '"""np.linalg.eigh in a docstring"""\n'
+        "import numpy.linalg\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import svd\n"
+        "w = np.linalg.eigh(a)\n"
+        "s = numpy.linalg.svd(a)\n"
+    )
+    assert sorted(_numpy_linalg_uses(tree)) == [(2, "numpy.linalg"), (3, "linalg"), (4, "svd"), (5, "eigh"), (6, "svd")]

@@ -149,17 +149,6 @@ class Element:
         """Blockwise conjugate transpose."""
         return Element(self.shape, tuple(b.conj().T for b in self.blocks))
 
-    def assemble(self) -> np.ndarray:
-        """Dense block-diagonal matrix carrying all blocks."""
-        n = sum(self.shape.block_dims)
-        out = np.zeros((n, n), dtype=np.complex128)
-        pos = 0
-        for b in self.blocks:
-            d = b.shape[0]
-            out[pos : pos + d, pos : pos + d] = b
-            pos += d
-        return out
-
 
 def take_snapshots(elements) -> None:
     """Take the `svds` of several elements of one algebra with one stacked
@@ -182,12 +171,6 @@ class Functional:
 
     def __post_init__(self):
         object.__setattr__(self, "densities", _check_blocks(self.shape, self.densities))
-
-    @classmethod
-    def from_densities(cls, densities) -> "Functional":
-        mats = [linalg.as_matrix(a) for a in densities]
-        shape = AlgebraShape(tuple(m.shape[0] for m in mats))
-        return cls(shape, tuple(mats))
 
     def vectorize(self) -> np.ndarray:
         """Flat complex coordinate vector (used for span-rank computations)."""
@@ -310,12 +293,12 @@ def coordinate_rows(densities: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.concatenate([a.reshape(len(a), -1) for a in densities], axis=1)
 
 
-def numeric_span_rank(fs, tol: float = SPAN_RANK_TOL) -> int:
+def numeric_span_rank(fs) -> int:
     """Complex-linear rank of a family of functionals, given as Functionals
     or as the rows of `coordinate_rows`.
 
     Counts singular values of the stacked coordinate vectors above
-    tol * sigma_max.
+    SPAN_RANK_TOL * sigma_max.
     """
     if len(fs) == 0:
         return 0
@@ -323,7 +306,7 @@ def numeric_span_rank(fs, tol: float = SPAN_RANK_TOL) -> int:
     s = linalg.singular_values(mat)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > SPAN_RANK_TOL * s[0]))
 
 
 @dataclass(frozen=True)

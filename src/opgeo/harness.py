@@ -16,15 +16,13 @@ import numpy as np
 
 from opgeo import algebra, classify
 from opgeo.algebra import AlgebraShape, Element, element_norm, min_real_over_norming
-# bench/test_bench.py asserts opgeo.harness.x1_member, a name the benchmark's tracer rebinds
-from opgeo.classify import (  # noqa: F401
+from opgeo.classify import (
     DEFAULT_TOLERANCES,
     Tolerances,
     construct_witness,
     defect_norm_identity,
     invertibility_certificate,
     is_extreme_point,
-    is_partial_isometry_algebraic,
     is_positive,
     is_projection,
     is_self_adjoint_lumer,
@@ -32,11 +30,12 @@ from opgeo.classify import (  # noqa: F401
     norming_annihilates_defect,
     recover_adjoint,
     verify_certificate,
-    x1_member,
     x2_deviation_bound,
     x2_member,
     element_min_singular_value,
 )
+# bench/test_bench.py asserts opgeo.harness.x1_member, a name the benchmark's tracer rebinds
+from opgeo.classify import x1_member  # noqa: F401
 from opgeo.generators import (
     _haar_block,
     gen_ginibre,

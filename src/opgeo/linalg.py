@@ -47,10 +47,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 @dataclass(frozen=True)
 class SVDResult:
@@ -60,22 +56,16 @@ class SVDResult:
     singular_values: np.ndarray
     right: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.conj().T
-
 
 @dataclass(frozen=True)
 class PolarDecomposition:
-    """Polar factorization with a unitary isometry factor.
-
-    side "left":  A = absolute @ isometry,  absolute = (AA*)^(1/2)
-    side "right": A = isometry @ absolute,  absolute = (A*A)^(1/2)
+    """Left polar factorization A = absolute @ isometry with a unitary
+    isometry factor and absolute = (AA*)^(1/2).
 
     For singular A the isometry is the deterministic unitary completion
     delivered by the SVD frames (isometry = W V*).
     """
 
-    side: str
     absolute: np.ndarray
     isometry: np.ndarray
 
@@ -86,11 +76,12 @@ def _hermitian_part(a) -> np.ndarray:
     that sum neither overflows nor goes subnormal, signed zeros included.
     On a Hermitian A it is A; the Hermitian part of -iA is the skew part
     (A - A*)/2i."""
-    m = as_matrix(a)
+    m = np.ascontiguousarray(as_matrix(a))  # C order: its float64 view is its parts
     _require_square(m)
-    m.real *= 0.5  # exact, part by part: 0.5 * m would sign some zeros anew
-    m.imag *= 0.5
-    return 1.0 * (m + m.conj().T)  # the complex product signs zeros as 0.5 * (A + A*) does
+    m.view(np.float64)[...] *= 0.5  # exact, part by part: 0.5 * m would sign some zeros anew
+    h = m + m.conj().T
+    h *= 1.0  # the complex product signs zeros as 0.5 * (A + A*) does
+    return h
 
 
 def hermitian_eig(a) -> SpectralDecomposition:
@@ -125,31 +116,23 @@ def svd_stack(a) -> tuple[SVDResult, ...]:
     return tuple(SVDResult(left=wi, singular_values=si, right=vhi.T) for wi, si, vhi in zip(w, s, vh.conj()))
 
 
+def singular_values(a) -> np.ndarray:
+    """Singular values, descending, of a matrix or of each matrix of a
+    stack: the one guarded LAPACK path of every norm below."""
+    m = np.asarray(a, dtype=np.complex128)
+    _require_finite(m)
+    return np.linalg.svd(m, compute_uv=False)
+
+
 def operator_norm(a) -> float:
     """Largest singular value: the LAPACK call behind np.linalg.norm(m, 2),
     without its reduction, so the same number bit for bit."""
-    m = np.asarray(a, dtype=np.complex128)
-    _require_finite(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(singular_values(a)[0])
 
 
 def trace_norm(a) -> float:
     """Sum of singular values (dual norm to the operator norm)."""
-    m = np.asarray(a, dtype=np.complex128)
-    _require_finite(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values, descending, of a matrix or of each matrix of a
-    stack."""
-    m = np.asarray(a, dtype=np.complex128)
-    _require_finite(m)
-    return np.linalg.svd(m, compute_uv=False)
+    return float(np.sum(singular_values(a)))
 
 
 def direct_sum_norm(blocks) -> float:
@@ -170,27 +153,19 @@ def unitary_residual(blocks) -> float:
     return direct_sum_norm(b.conj().T @ b - np.eye(b.shape[0]) for b in blocks)
 
 
-def polar(a, side: str = "left") -> PolarDecomposition:
-    """Polar decomposition of a square matrix with a unitary isometry factor.
-
-    The left convention writes A = |A| u with |A| = (AA*)^(1/2); the right
-    convention writes A = u |A| with |A| = (A*A)^(1/2).  In both the unitary
-    factor is u = W V* from the SVD A = W diag(sigma) V*, which fixes a
-    deterministic unitary completion on the kernel.
+def polar(a) -> PolarDecomposition:
+    """Left polar decomposition A = |A| u of a square matrix, with
+    |A| = (AA*)^(1/2) and the unitary factor u = W V* from the SVD
+    A = W diag(sigma) V*, which fixes a deterministic unitary completion on
+    the kernel.
     """
-    if side not in ("left", "right"):
-        raise LinalgError(f"side must be 'left' or 'right', got {side!r}")
     m = as_matrix(a)
     _require_square(m)
     res = svd(m)
     w, s, v = res.left, res.singular_values, res.right
-    u = w @ v.conj().T
-    if side == "left":
-        absolute = (w * s) @ w.conj().T
-    else:
-        absolute = (v * s) @ v.conj().T
+    absolute = (w * s) @ w.conj().T
     absolute = 0.5 * (absolute + absolute.conj().T)
-    return PolarDecomposition(side=side, absolute=absolute, isometry=u)
+    return PolarDecomposition(absolute=absolute, isometry=w @ v.conj().T)
 
 
 def apply_function_hermitian(a, fn) -> np.ndarray:

@@ -125,7 +125,7 @@ def test_criterion_3_norming_span_characterizes_unitaries(report):
         samples = [
             sample_norming_functional(desc, rng) for _ in range(3 * max(desc.span_dim, 1))
         ]
-        if numeric_span_rank(samples, tol=1e-7) != desc.span_dim:
+        if numeric_span_rank(samples) != desc.span_dim:
             rank_mismatches += 1
         return desc.span_dim
 
@@ -220,7 +220,7 @@ def test_criterion_5_invertibility_certificates(report):
         if invertibility_certificate(x) is not None:
             singular_ok = False
             continue
-        u = Element(x.shape, tuple(polar(b, side="left").isometry for b in x.blocks))
+        u = Element(x.shape, tuple(polar(b).isometry for b in x.blocks))
         lam = min_real_over_norming(u, x).value
         worst_lam = max(worst_lam, lam)
         if lam > 1e-6:

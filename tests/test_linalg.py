@@ -56,8 +56,8 @@ class TestHermitianEig:
         a = random_hermitian(6, rng)
         dec = linalg.hermitian_eig(a)
         scale = max(1.0, linalg.operator_norm(a))
-        assert linalg.operator_norm(a - dec.reconstruct()) <= 1e-10 * scale
         u = dec.eigenvectors
+        assert linalg.operator_norm(a - (u * dec.eigenvalues) @ u.conj().T) <= 1e-10 * scale
         assert linalg.operator_norm(u.conj().T @ u - np.eye(6)) <= 1e-10
 
     def test_rejects_non_square(self):
@@ -116,6 +116,19 @@ class TestHermitianEig:
             w, u = np.linalg.eigh(-0.5j * (a - a.conj().T))
             assert same_bits(dec.eigenvalues, w) and same_bits(dec.eigenvectors, u)
 
+    @pytest.mark.parametrize("n", HERMITIAN_DIMS)
+    def test_any_memory_order(self, n):
+        # a block of x.H is a Fortran-ordered view; its Hermitian part has
+        # the bits of its C-ordered copy's
+        for a in hermitian_corpus(n, np.random.default_rng(n + 200)):
+            c = np.ascontiguousarray(a.conj().T)
+            dec = linalg.hermitian_eig(c)
+            for view in (a.conj().T, np.asfortranarray(c), np.flip(np.flip(c, 0).copy(), 0)):
+                other = linalg.hermitian_eig(view)
+                assert same_bits(other.eigenvalues, dec.eigenvalues)
+                assert same_bits(other.eigenvectors, dec.eigenvectors)
+                assert same_bits(linalg.hermitian_eigvals(view), linalg.hermitian_eigvals(c))
+
 
 class TestSVD:
     def test_zero_matrix(self):
@@ -137,7 +150,7 @@ class TestSVD:
         a = random_complex(5, rng)
         res = linalg.svd(a)
         scale = max(1.0, linalg.operator_norm(a))
-        assert linalg.operator_norm(a - res.reconstruct()) <= 1e-10 * scale
+        assert linalg.operator_norm(a - (res.left * res.singular_values) @ res.right.conj().T) <= 1e-10 * scale
         for u in (res.left, res.right):
             assert linalg.operator_norm(u.conj().T @ u - np.eye(5)) <= 1e-10
         assert np.all(np.diff(res.singular_values) <= 0)
@@ -152,7 +165,8 @@ class TestNorms:
 
     def test_operator_norm_is_the_two_norm_bit_for_bit(self):
         # np.linalg.norm(m, 2) is the largest of the same LAPACK singular
-        # values, so operator_norm may drop the reduction, not the number
+        # values, so operator_norm may drop the reduction, not the number;
+        # trace_norm sums the same values
         rng = np.random.default_rng(2024)
         for n in (1, 2, 3, 4, 6, 8, 16, 32, 64):
             for _ in range(3):
@@ -161,6 +175,7 @@ class TestNorms:
                 deficient = g[:, :k] @ random_complex(n, rng)[:k, :]  # rank k < n
                 for m in (g, deficient, 1e-200 * g, 1e-200 * deficient):
                     assert linalg.operator_norm(m) == float(np.linalg.norm(m, 2))
+                    assert linalg.trace_norm(m) == float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10_000), st.integers(2, 8))
@@ -185,6 +200,15 @@ class TestNorms:
     def test_trace_dominates_operator(self, seed, n):
         a = random_complex(n, np.random.default_rng(seed))
         assert linalg.trace_norm(a) >= linalg.operator_norm(a) - 1e-12
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "inf-imag"])
+    @pytest.mark.parametrize("kernel", ["operator_norm", "trace_norm", "singular_values"])
+    def test_non_finite_raises_before_lapack(self, capfd, kernel, entry):
+        a = np.eye(3, dtype=np.complex128)
+        a[2, 0] = entry
+        with pytest.raises(LinalgError, match="^matrix has non-finite entries$"):
+            getattr(linalg, kernel)(a)
+        assert "DLASCL" not in capfd.readouterr().err
 
 
 STACK_DIMS = (1, 2, 3, 4, 6, 8, 16, 32, 64)
@@ -236,40 +260,32 @@ class TestStacks:
 class TestPolar:
     def test_unitary_input(self, rng):
         q, _ = np.linalg.qr(random_complex(4, rng))
-        dec = linalg.polar(q, side="left")
+        dec = linalg.polar(q)
         np.testing.assert_allclose(dec.absolute, np.eye(4), atol=1e-10)
         np.testing.assert_allclose(dec.isometry, q, atol=1e-10)
 
     def test_singular_diagonal_completion(self):
-        dec = linalg.polar(np.diag([2.0, 0.0]), side="left")
+        dec = linalg.polar(np.diag([2.0, 0.0]))
         np.testing.assert_allclose(dec.absolute, np.diag([2.0, 0.0]), atol=1e-12)
         np.testing.assert_allclose(np.abs(dec.isometry[:, 0]), [1.0, 0.0], atol=1e-12)
         u = dec.isometry
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_random_residual(self, side, rng):
+    def test_random_residual(self, rng):
         a = random_complex(5, rng) + 2.0 * np.eye(5)
-        dec = linalg.polar(a, side=side)
-        if side == "left":
-            residual = a - dec.absolute @ dec.isometry
-        else:
-            residual = a - dec.isometry @ dec.absolute
+        dec = linalg.polar(a)
+        residual = a - dec.absolute @ dec.isometry
         assert linalg.operator_norm(residual) <= 1e-10 * max(1.0, linalg.operator_norm(a))
         u = dec.isometry
         assert linalg.operator_norm(u.conj().T @ u - np.eye(5)) <= 1e-10
 
     def test_absolute_matches_functional_calculus(self, rng):
         a = random_complex(5, rng)
-        left_abs = linalg.polar(a, side="left").absolute
+        left_abs = linalg.polar(a).absolute
         via_sqrt = linalg.apply_function_hermitian(
             a @ a.conj().T, lambda s: np.sqrt(max(s, 0.0))
         )
         assert linalg.operator_norm(left_abs - via_sqrt) <= 1e-9
-
-    def test_rejects_bad_side(self):
-        with pytest.raises(LinalgError):
-            linalg.polar(np.eye(2), side="middle")
 
 
 class TestFunctionalCalculus:

@@ -28,8 +28,12 @@ LINALG_CALLS_ALLOWED = {
 }
 
 #: float tolerances a public function may take, each with its reason
-FLOAT_TOLERANCES_ALLOWED = {
-    ("numeric_span_rank", "tol"): "a rank cut relative to σ_max; acceptance criterion 3 passes it",
+FLOAT_TOLERANCES_ALLOWED = {}
+
+#: names a module imports and never reads, each with its reason
+UNUSED_IMPORTS_ALLOWED = {
+    ("harness.py", "x1_member"): "bench/test_bench.py asserts opgeo.harness.x1_member, which the tracer rebinds",
+    ("cli.py", "element_norm"): "bench/test_bench.py asserts opgeo.cli.element_norm, which the tracer rebinds",
 }
 
 
@@ -189,3 +193,44 @@ def test_linalg_scan_flags_each_spelling():
         "s = numpy.linalg.svd(a)\n"
     )
     assert sorted(_numpy_linalg_uses(tree)) == [(2, "numpy.linalg"), (3, "linalg"), (4, "svd"), (5, "eigh"), (6, "svd")]
+
+
+def _unused_imports(tree: ast.Module):
+    """(line, name) of each name a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for a in node.names:
+                imported.setdefault((a.asname or a.name).split(".")[0], node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_are_the_bench_names():
+    # an import no code reads is dead weight; the two the benchmark's tracer
+    # rebinds are read from outside, by bench/test_bench.py
+    offending, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for lineno, name in _unused_imports(ast.parse(path.read_text())):
+            if (path.name, name) in UNUSED_IMPORTS_ALLOWED:
+                used.add((path.name, name))
+            else:
+                offending.append(f"{path.name}:{lineno}: {name}")
+    assert offending == []
+    assert used == set(UNUSED_IMPORTS_ALLOWED)
+
+
+def test_unused_import_scan_flags_each_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from opgeo.algebra import Element, element_norm\n"
+        "x = np.zeros(2)\n"
+        "y = os.path.join('a')\n"
+        "def f(e: Element): return e\n"
+    )
+    assert _unused_imports(tree) == [(2, "json"), (5, "element_norm")]

@@ -272,11 +272,9 @@ def _in_face(face: NormingSetDescription, ys) -> list[bool]:
 def x2_deviation(x: Element, y: Element) -> float:
     """max over the b-grid of | ||x + by|| - max(1, ||by||) |, the 208
     points measured in one stack per block.  ||y|| is measured afresh, not
-    read from y's snapshot."""
+    read from y's snapshot; a zero y gives | ||x|| - 1 |."""
     _same_algebra(x, y)
     y_norm = element_norm(y)
-    if y_norm <= _NEGLIGIBLE:
-        return abs(element_norm(x) - 1.0)
     bs = _B_GRID.ravel()
     return float(np.max(np.abs(_grid_norms(x.blocks, y.blocks, bs) - np.maximum(1.0, np.abs(bs) * y_norm))))
 
@@ -292,8 +290,6 @@ def x2_member(x: Element, y: Element) -> bool:
     - per point b: ||x + by|| >= ||(x + by) v|| for the top right singular
       vector v of a block of x, then of y, two matvecs per block for the
       whole grid.  Above r + member_tol + d anywhere, the answer is False.
-      x's vectors are held against the r of ||y||_F >= ||y||, so they alone
-      reject most directions off X2 without y's SVD.
     - per radius: the two bounds of `_x2_bounds`.  Within member_tol - d of
       r on both sides at every radius, the answer is True.
 
@@ -302,17 +298,16 @@ def x2_member(x: Element, y: Element) -> bool:
     """
     _same_algebra(x, y)
     tol = _MEMBER_TOL
-    rho = np.abs(_B_GRID[:, 0])
-    # x's vectors first, against the r of ||y||_F >= ||y||: they reject most
-    # directions off X2 before y is decomposed
-    r = np.maximum(1.0, rho * np.sqrt(sum(np.vdot(yb, yb).real for yb in y.blocks)))
+    r = np.maximum(1.0, np.abs(_B_GRID[:, 0]) * y.norm)
+    d = 2.0 * _NORM_ROUNDING * (r + x.norm)
+    # x's vectors first: they reject most directions off X2 before y's
+    # vectors and the bounds are formed
     on_x = _top_images(x, y, x)
     at_points = _vector_lower_bound(on_x)
-    if np.any(at_points > (r + tol + 2.0 * _NORM_ROUNDING * (r + x.norm))[:, None]):
+    if np.any(at_points > (r + tol + d)[:, None]):
         return False
     on_y = _top_images(x, y, y)
-    r, upper, lower = _x2_bounds(x, y, on_x, on_y)
-    d = 2.0 * _NORM_ROUNDING * (r + x.norm)
+    _, upper, lower = _x2_bounds(x, y, on_x, on_y)
     at_points = np.maximum(at_points, _vector_lower_bound(on_y))
     if np.any(at_points > (r + tol + d)[:, None]):
         return False
@@ -384,8 +379,6 @@ def x2_deviation_bound(x: Element, y: Element) -> float:
     gives | ||x|| - 1 |; a y from another algebra raises ShapeMismatchError.
     """
     _same_algebra(x, y)
-    if y.norm <= _NEGLIGIBLE:
-        return abs(element_norm(x) - 1.0)
     r, upper, lower = _x2_bounds(x, y, _top_images(x, y, x), _top_images(x, y, y))
     return float(max(0.0, np.max(np.maximum(upper - r, r - lower))))
 

@@ -17,7 +17,8 @@ import opgeo
 from opgeo import documents
 # bench/test_bench.py asserts opgeo.cli.element_norm, a name the benchmark's tracer rebinds
 from opgeo.algebra import AlgebraShape, element_norm  # noqa: F401
-from opgeo.classify import DEFAULT_TOLERANCES, Tolerances, classify_all, recover_adjoint
+from opgeo.algebra import DEFAULT_TOLERANCES, Tolerances
+from opgeo.classify import classify_all, recover_adjoint
 from opgeo.errors import (
     LinalgError,
     MalformedCertificateError,

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from opgeo import algebra, classify
-from opgeo.algebra import AlgebraShape, Element, element_norm, min_real_over_norming
+from opgeo.algebra import DEFAULT_TOLERANCES, AlgebraShape, Element, Tolerances, element_norm, min_real_over_norming
 from opgeo.classify import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
     construct_witness,
     defect_norm_identity,
     invertibility_certificate,

@@ -10,9 +10,11 @@ import pytest
 from conftest import count_linalg, diag_element, random_complex, random_hermitian, same_bits
 from opgeo import algebra, classify, documents, linalg
 from opgeo.algebra import (
+    DEFAULT_TOLERANCES,
     AlgebraShape,
     Element,
     Functional,
+    Tolerances,
     element_norm,
     evaluate,
     functional_norm,
@@ -21,9 +23,7 @@ from opgeo.algebra import (
     sample_norming_functional,
 )
 from opgeo.classify import (
-    DEFAULT_TOLERANCES,
     InvertibilityCertificate,
-    Tolerances,
     _defect_direction,
     _invertible_verdict,
     _random_direction,
@@ -688,13 +688,21 @@ class TestX2Member:
         return x, rng
 
     def test_random_direction_takes_no_grid_svd(self, monkeypatch):
-        # the bound from x's top singular vector exceeds the reference: no
-        # grid point is measured, y is not decomposed, nothing is factorised
+        # the bound from x's top singular vectors exceeds the reference: no
+        # grid point is measured, the bounds are not formed, and nothing is
+        # factorised besides y's snapshot
+        def refuse(*args):
+            raise AssertionError("bounds formed")
+
+        monkeypatch.setattr(classify, "_x2_bounds", refuse)
         x, rng = self._m8_partial_isometry()
-        y = _random_direction(x, rng)
+        snapshotted, fresh = _random_direction(x, rng), _random_direction(x, rng)
+        algebra.take_snapshots([snapshotted])  # as harness T1F does
         calls = count_linalg(monkeypatch, "svd", "cholesky")
-        assert x2_member(x, y) is False
+        assert x2_member(x, snapshotted) is False
         assert calls == Counter()
+        assert x2_member(x, fresh) is False
+        assert calls == Counter({("svd", ()): 1})
 
     def test_defect_probe_takes_no_grid_svd(self, monkeypatch):
         x, rng = self._m8_partial_isometry()

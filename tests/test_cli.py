@@ -7,8 +7,8 @@ import pytest
 
 from conftest import diag_element
 from opgeo import cli, documents
-from opgeo.algebra import AlgebraShape, Element, element_norm
-from opgeo.classify import DEFAULT_TOLERANCES, construct_witness, is_positive, is_projection, recover_adjoint
+from opgeo.algebra import DEFAULT_TOLERANCES, AlgebraShape, Element, element_norm
+from opgeo.classify import construct_witness, is_positive, is_projection, recover_adjoint
 from opgeo.cli import main
 from opgeo.generators import gen_invertible, gen_norm_one_non_pi
 from opgeo.harness import MAX_BLOCK_DIM

@@ -1,13 +1,19 @@
 """Source checks for the tolerance policy: one `Tolerances` object decides,
 every other small float is a named constant, and the classifiers take their
-operands and, when they read it, `tol`, nothing else."""
+operands and, when they read it, `tol`, nothing else.  And for the imports:
+each name is imported from the module that defines it, and importing a
+module loads only the layers beneath it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "opgeo"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "opgeo"
 #: classes whose field defaults may hold tolerance values
 CONFIG_CLASSES = {"Tolerances"}
 #: the operands a public classifier may take besides the keyword-only `tol`
@@ -211,8 +217,6 @@ def test_unused_imports_are_the_bench_names():
     # rebinds are read from outside, by bench/test_bench.py
     offending, used = [], set()
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for lineno, name in _unused_imports(ast.parse(path.read_text())):
             if (path.name, name) in UNUSED_IMPORTS_ALLOWED:
                 used.add((path.name, name))
@@ -234,3 +238,83 @@ def test_unused_import_scan_flags_each_form():
         "def f(e: Element): return e\n"
     )
     assert _unused_imports(tree) == [(2, "json"), (5, "element_norm")]
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module defines at its top level: functions, classes and
+    assigned names, not the names it imports."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _homes() -> dict[str, set[str]]:
+    """opgeo module -> the names `from module import name` may take there:
+    its top-level names, and for the package its submodules."""
+    homes = {f"opgeo.{p.stem}": _top_level_names(ast.parse(p.read_text())) for p in SRC.glob("*.py")}
+    homes["opgeo"] = homes.pop("opgeo.__init__") | {p.stem for p in SRC.glob("*.py")}
+    return homes
+
+
+def _imports_from_elsewhere(tree: ast.Module, homes: dict[str, set[str]]):
+    """(line, module.name) of each `from opgeo... import name` whose module
+    does not define the name itself, but re-exports it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in homes:
+            for a in node.names:
+                if a.name not in homes[node.module]:
+                    yield node.lineno, f"{node.module}.{a.name}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_each_name_is_imported_from_its_home(path):
+    # one import path per name: a module that re-exports what it imports is
+    # not where the name is read from
+    found = _imports_from_elsewhere(ast.parse(path.read_text()), _homes())
+    assert [f"{path.name}:{line}: {name}" for line, name in found] == []
+
+
+def test_import_home_scan_flags_a_reexport():
+    homes = {"opgeo": {"algebra", "__version__"}, "opgeo.algebra": {"Tolerances"}, "opgeo.classify": {"x1_member"}}
+    tree = ast.parse(
+        "from opgeo import algebra, Tolerances\n"
+        "from opgeo.classify import Tolerances, x1_member\n"
+        "def f():\n    from opgeo.algebra import Tolerances\n"
+    )
+    assert sorted(_imports_from_elsewhere(tree, homes)) == [(1, "opgeo.Tolerances"), (2, "opgeo.classify.Tolerances")]
+
+
+_ALGEBRA_LAYER = {"errors", "linalg", "algebra"}
+#: each module with the opgeo modules that importing it loads, itself included
+LOADED_BY = {
+    "errors": {"errors"},
+    "linalg": {"errors", "linalg"},
+    "algebra": _ALGEBRA_LAYER,
+    "generators": _ALGEBRA_LAYER | {"generators"},
+    "classify": _ALGEBRA_LAYER | {"classify"},
+    "documents": _ALGEBRA_LAYER | {"classify", "documents"},
+    "harness": _ALGEBRA_LAYER | {"classify", "generators", "harness"},
+    "cli": {p.stem for p in SRC.glob("*.py") if p.name != "__init__.py"},
+}
+
+
+def test_every_module_has_its_runtime_layer():
+    assert set(LOADED_BY) == {p.stem for p in SRC.glob("*.py") if p.name != "__init__.py"}
+
+
+@pytest.mark.parametrize("module", sorted(LOADED_BY))
+def test_imports_follow_the_layers_at_runtime(module):
+    # the package binds no submodule, so a fresh `import opgeo.X` loads X and
+    # the layers beneath it that X imports, nothing above or beside it
+    paths = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    script = f"import sys, opgeo.{module}; print(*sorted(n for n in sys.modules if n.split('.')[0] == 'opgeo'))"
+    report = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert report.stdout.split() == sorted({"opgeo"} | {f"opgeo.{m}" for m in LOADED_BY[module]})

@@ -1,0 +1,20 @@
+"""The README's Python examples run as written, so the import paths they
+document stay true."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_a_python_example():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_python_block_runs(source, capsys):
+    exec(compile(source, str(README), "exec"), {"__name__": "__readme__"})
+    assert capsys.readouterr().out
